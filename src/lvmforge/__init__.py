@@ -15,7 +15,7 @@ from .analysis import (
     step_response_from_series,
     synth_first_order,
 )
-from .export import ExportFormat, export_csv, export_xml
+from .export import export_csv, export_xml
 from .ingest import (
     ChannelSeries,
     MeasurementRecord,
@@ -24,7 +24,6 @@ from .ingest import (
     Registry,
     import_file,
     map_lvm_to_record,
-    register_handler,
 )
 from .lvm import (
     DataRow,
@@ -64,7 +63,6 @@ __all__ = [
     "ConceptCategory",
     "DataRow",
     "EquipmentModel",
-    "ExportFormat",
     "HighPrecisionTime",
     "LvmDocument",
     "LvmFileHeader",
@@ -99,7 +97,6 @@ __all__ = [
     "nonlinearity_error",
     "parse_lvm",
     "parse_model_definition",
-    "register_handler",
     "register_unit",
     "render_canonical",
     "render_model_definition",

@@ -2,7 +2,9 @@
 
 Both formats are the normalized side of the pipeline: numbers always use
 "." decimals and 6 fixed digits regardless of the source file's locale,
-timestamps are ISO 8601, and identical records produce byte-identical
+except REAL parameters that need more than 6 decimals, which print in
+shortest round-trip form (see :func:`lvmforge.model.render_canonical`).
+Timestamps are ISO 8601, and identical records produce byte-identical
 output.
 """
 
@@ -11,20 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import xml.etree.ElementTree as ET
-from enum import Enum
 
 from .ingest import MeasurementRecord
+from .lvm import format_fixed6
 from .model import ConceptCategory, render_canonical
-
-
-class ExportFormat(Enum):
-    XML = "xml"
-    CSV = "csv"
-
-
-def _fixed6(value: float) -> str:
-    return f"{value:.6f}"
-
 
 def export_xml(record: MeasurementRecord) -> bytes:
     """UTF-8 XML: measurement root, one category element per non-empty
@@ -52,7 +44,8 @@ def export_xml(record: MeasurementRecord) -> bytes:
             attrs["unit"] = series.unit
         element = ET.SubElement(root, "series", attrs)
         for x, y in series.points:
-            ET.SubElement(element, "point", {"x": _fixed6(x), "y": _fixed6(y)})
+            ET.SubElement(element, "point",
+                          {"x": format_fixed6(x), "y": format_fixed6(y)})
     tree = ET.ElementTree(root)
     ET.indent(tree)
     return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
@@ -73,10 +66,10 @@ def export_csv(record: MeasurementRecord) -> bytes:
         writer.writerow([])
         writer.writerow(["X_Value"] + [s.name for s in record.series])
         for x in _abscissae(record):
-            row = [_fixed6(x)]
+            row = [format_fixed6(x)]
             for series in record.series:
                 y = dict(series.points).get(x)
-                row.append("" if y is None else _fixed6(y))
+                row.append("" if y is None else format_fixed6(y))
             writer.writerow(row)
     return buffer.getvalue().encode("utf-8")
 

@@ -6,8 +6,8 @@ relation between equipments and procedures.  Binding names follow the
 PROCEDURE_EXT convention, e.g. LVM_PARSING bound to "lvm" yields
 LVM_PARSING_LVM.
 
-Only the .lvm handler ships; the registry accommodates procedures for the
-other laboratory formats (.msr, .mes, .coi, ...) without an implementation.
+The .lvm parser is the only implementation: every procedure names it by
+``LVM_HANDLER_ID``, and the registry refuses any other handler id.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import (
     ChannelCountMismatch,
@@ -28,7 +28,13 @@ from .errors import (
     UnknownHandler,
     UnknownProcedure,
 )
-from .lvm import LvmDocument, channel_series, format_fixed6, format_sci16, parse_lvm
+from .lvm import (
+    LvmDocument,
+    channel_series,
+    file_header_fields,
+    parse_lvm,
+    segment_header_fields,
+)
 from .model import (
     ConceptCategory,
     EquipmentModel,
@@ -84,18 +90,7 @@ class MeasurementRecord:
         self.values.setdefault(category, {})[name] = typed
 
 
-# handler_id -> callable(file bytes, equipment model, source filename) -> record
-ParserHandler = Callable[[bytes, EquipmentModel, str], MeasurementRecord]
 LVM_HANDLER_ID = "builtin.lvm"
-_HANDLERS: dict[str, ParserHandler] = {}
-
-
-def register_handler(handler_id: str, handler: ParserHandler) -> None:
-    _HANDLERS[handler_id] = handler
-
-
-def _lvm_handler(data: bytes, model: EquipmentModel, source_file: str) -> MeasurementRecord:
-    return map_lvm_to_record(parse_lvm(data), model, source_file=source_file)
 
 
 class Registry:
@@ -127,7 +122,7 @@ class Registry:
     def register_procedure(self, procedure: ParsingProcedure) -> None:
         if procedure.name in self._procedures:
             raise DuplicateProcedure(procedure.name)
-        if procedure.handler_id not in _HANDLERS:
+        if procedure.handler_id != LVM_HANDLER_ID:
             raise UnknownHandler(procedure.handler_id)
         self._procedures[procedure.name] = procedure
 
@@ -169,8 +164,8 @@ class Registry:
     def from_store(cls, store) -> "Registry":
         """Rebuild a registry from persisted equipments, procedures, bindings.
 
-        Stored procedures all resolve to the built-in .lvm handler: it is
-        the only parser implementation that ships.
+        Stored procedures all resolve to the .lvm parser: it is the only
+        parser implementation.
         """
         registry = cls()
         for name in store.list_equipment():
@@ -180,10 +175,6 @@ class Registry:
         for binding in store.list_bindings():
             registry._bindings[(binding.equipment_name, binding.extension)] = binding
         return registry
-
-
-# keys whose segment-header value is one entry per channel
-_PER_CHANNEL_KEYS = ("Samples", "Date", "Time", "X_Dimension", "X0", "Delta_X")
 
 
 def map_lvm_to_record(doc: LvmDocument, model: EquipmentModel,
@@ -212,67 +203,28 @@ def map_lvm_to_record(doc: LvmDocument, model: EquipmentModel,
         source_file=source_file,
     )
 
-    def apply(key: str, raw: str) -> bool:
-        """Set a parameter from raw text; False when the model rejects the key."""
+    def apply(key: str, raw: str, keep_existing: bool = False) -> None:
+        """Set a parameter from raw text; warn when the model lacks the key."""
         if key in model.ignored_file_keys:
-            return True
-        definition = model.parameter(key)
-        if definition is None:
-            return False
-        record.set_value(definition.category, key, make_typed(definition, raw))
-        return True
-
-    header = doc.header
-    file_pairs = [
-        ("Writer_Version", str(header.writer_version)),
-        ("Reader_Version", str(header.reader_version)),
-        ("Separator", header.separator.value),
-        ("Decimal_Separator", header.decimal_separator),
-        ("Multi_Headings", "Yes" if header.multi_headings else "No"),
-        ("X_Columns", header.x_columns.value),
-        ("Time_Pref", header.time_pref.value),
-    ]
-    if header.operator:
-        file_pairs.append(("Operator", header.operator))
-    if header.date is not None:
-        file_pairs.append(("Date", header.date.strftime("%Y/%m/%d")))
-    if header.time is not None:
-        file_pairs.append(("Time", header.time.render(".")))
-    file_pairs.extend(header.extra_keys.items())
-    for key, raw in file_pairs:
-        if not apply(key, raw):
-            record.warnings.append(f"unknown header key {key!r}")
-
-    if segment.notes is not None:
-        record.aux["Notes"] = segment.notes
-    if not apply("Channels", str(segment.channels)):
-        record.warnings.append("unknown header key 'Channels'")
-
-    per_channel = {
-        "Samples": [str(s) for s in segment.samples_per_channel],
-        "Date": [d.strftime("%Y/%m/%d") for d in segment.channel_dates],
-        "Time": [t.render(".") for t in segment.channel_times],
-        "X_Dimension": list(segment.x_dimension),
-        "X0": [format_sci16(v, ".") for v in segment.x0],
-        "Delta_X": [format_fixed6(v, ".") for v in segment.delta_x],
-    }
-    for key in _PER_CHANNEL_KEYS:
-        rendered = per_channel[key]
-        if not rendered:
-            continue
-        record.aux[key] = " ".join(rendered)
-        if key in model.ignored_file_keys:
-            continue
+            return
         definition = model.parameter(key)
         if definition is None:
             record.warnings.append(f"unknown header key {key!r}")
-        elif record.values.get(definition.category, {}).get(key) is None:
-            # file-header value (e.g. Date/Time) takes precedence
-            record.set_value(definition.category, key, make_typed(definition, rendered[0]))
+        elif not keep_existing or record.get_value(definition.category, key) is None:
+            record.set_value(definition.category, key, make_typed(definition, raw))
 
-    for key, raw in segment.extra_keys.items():
-        if not apply(key, raw):
-            record.warnings.append(f"unknown header key {key!r}")
+    for key, raw in file_header_fields(doc.header, "."):
+        apply(key, raw)
+    for key, value in segment_header_fields(segment, "."):
+        if key == "Notes":
+            record.aux["Notes"] = value
+        elif isinstance(value, str):
+            apply(key, value)
+        elif value:
+            # per-channel key: the full list goes to aux, channel 0 to the
+            # model unless the file header set it already (e.g. Date/Time)
+            record.aux[key] = " ".join(value)
+            apply(key, value[0], keep_existing=True)
 
     # downstream exports rely on model declaration order within a category
     declaration = {p.name: i for i, p in enumerate(model.parameters)}
@@ -296,12 +248,9 @@ def map_lvm_to_record(doc: LvmDocument, model: EquipmentModel,
 def import_file(path, equipment: str, registry: Registry, store) -> int:
     """Parse one measurement file, map it and persist it; returns the record id."""
     filename = os.path.basename(str(path))
-    procedure = registry.resolve(equipment, filename)
+    registry.resolve(equipment, filename)  # NoBinding unless bound
     model = registry.get_equipment(equipment)
     with open(path, "rb") as handle:
         data = handle.read()
-    record = _HANDLERS[procedure.handler_id](data, model, filename)
+    record = map_lvm_to_record(parse_lvm(data), model, source_file=filename)
     return store.put_measurement(record)
-
-
-register_handler(LVM_HANDLER_ID, _lvm_handler)

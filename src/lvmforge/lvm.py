@@ -11,6 +11,12 @@ else is rejected with :class:`~lvmforge.errors.UnsupportedFeature` rather
 than silently misread.  Unrecognized header keys are preserved verbatim
 (in order) so that parse -> serialize -> parse is the identity on the
 document level.
+
+This module is the one owner of how a value is written as text and read
+back: the real, integer, boolean, date and time grammars (``read_*``), the
+renderers (``format_*``) and the file- and segment-header field lists.
+The parser and serializer here, the equipment model's ``validate_value``
+and ``render_canonical``, the importer and the exporters all use them.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import datetime
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import (
     ChannelCountMismatch,
@@ -149,59 +155,75 @@ class LvmDocument:
     segments: list[LvmSegment]
 
 
-# --- numeric / scalar grammars --------------------------------------------
+# --- value grammar and renderers --------------------------------------------
+#
+# ``ds`` names the decimal separator a text may use: ".", "," or
+# ANY_DECIMAL, which accepts either (the equipment-model convention).
+# Readers return None for text outside the grammar.
+
+ANY_DECIMAL = ".,"
+_BOOL_WORDS = {"yes": True, "true": True, "no": False, "false": False}
+
 
 def _real_pattern(ds: str) -> re.Pattern:
-    d = re.escape(ds)
+    d = f"[{re.escape(ds)}]"
     return re.compile(rf"^[+-]?(?:\d+(?:{d}\d*)?|{d}\d+)(?:[eE][+-]?\d+)?$")
 
 
-_REAL_PATTERNS = {".": _real_pattern("."), ",": _real_pattern(",")}
+def _time_pattern(ds: str) -> re.Pattern:
+    return re.compile(rf"^(\d{{1,2}}):(\d{{1,2}}):(\d{{1,2}})(?:[{re.escape(ds)}](\d+))?$")
+
+
+_REAL_PATTERNS = {ds: _real_pattern(ds) for ds in (".", ",", ANY_DECIMAL)}
+_TIME_PATTERNS = {ds: _time_pattern(ds) for ds in (".", ",", ANY_DECIMAL)}
 _INT_PATTERN = re.compile(r"^[+-]?\d+$")
-_TIME_PATTERNS = {
-    ds: re.compile(rf"^(\d{{1,2}}):(\d{{1,2}}):(\d{{1,2}})(?:{re.escape(ds)}(\d+))?$")
-    for ds in (".", ",")
-}
 
 
-def _is_real(text: str, ds: str) -> bool:
-    return bool(_REAL_PATTERNS[ds].match(text))
+def read_real(text: str, ds: str = ".") -> Optional[float]:
+    if not _REAL_PATTERNS[ds].match(text):
+        return None
+    # the pattern admits no decimal character other than ds
+    return float(text.replace(",", "."))
 
 
-def _parse_real(text: str, ds: str, line_no: int, col: int) -> float:
-    if not _is_real(text, ds):
-        raise MalformedNumber(line_no, col, f"not a number under {ds!r}: {text!r}")
-    return float(text.replace(ds, "."))
+def read_int(text: str) -> Optional[int]:
+    return int(text) if _INT_PATTERN.match(text) else None
 
 
-def _parse_int(text: str, line_no: int, col: int) -> int:
-    if not _INT_PATTERN.match(text):
-        raise MalformedNumber(line_no, col, f"not an integer: {text!r}")
-    return int(text)
+def read_bool(text: str) -> Optional[bool]:
+    """Yes/No as .lvm headers write them, or true/false; any letter case."""
+    return _BOOL_WORDS.get(text.casefold())
 
 
-def _parse_date(text: str, line_no: int, col: int) -> Date:
+def read_date(text: str) -> Optional[Date]:
     try:
         return datetime.strptime(text, "%Y/%m/%d").date()
     except ValueError:
-        raise MalformedNumber(line_no, col, f"not a YYYY/MM/DD date: {text!r}") from None
+        return None
 
 
-def _parse_time(text: str, ds: str, line_no: int, col: int) -> HighPrecisionTime:
+def read_time(text: str, ds: str = ".") -> Optional[HighPrecisionTime]:
+    """HH:MM:SS with optional fraction digits after ds; raises
+    InvariantViolation when the text fits the grammar but is out of range."""
     m = _TIME_PATTERNS[ds].match(text)
     if not m:
-        raise MalformedNumber(line_no, col, f"not a HH:MM:SS time: {text!r}")
-    h, mi, s = int(m.group(1)), int(m.group(2)), int(m.group(3))
-    frac = m.group(4) or ""
-    if not (h <= 23 and mi <= 59 and s <= 60):
-        raise MalformedNumber(line_no, col, f"time out of range: {text!r}")
-    return HighPrecisionTime(h, mi, s, frac)
+        return None
+    return HighPrecisionTime(int(m.group(1)), int(m.group(2)), int(m.group(3)),
+                             m.group(4) or "")
 
 
 def format_fixed6(value: float, ds: str = ".") -> str:
     """Render a real with 6 fixed decimals, matching the data-block style."""
     text = f"{value:.6f}"
     return text if ds == "." else text.replace(".", ds)
+
+
+def format_real(value: float) -> str:
+    """Canonical "." rendering of a real: 6 fixed decimals when they hold
+    the value exactly, otherwise the shortest text that reads back as the
+    same float (``repr``), so read_real inverts it for every finite value."""
+    text = format_fixed6(value)
+    return text if float(text) == value else repr(value)
 
 
 def format_sci16(value: float, ds: str = ".") -> str:
@@ -213,7 +235,90 @@ def format_sci16(value: float, ds: str = ".") -> str:
     return text if ds == "." else text.replace(".", ds)
 
 
+def format_bool(value: bool) -> str:
+    return "Yes" if value else "No"
+
+
+def format_date(value: Date) -> str:
+    # not strftime: it leaves years below 1000 unpadded, which read_date rejects
+    return f"{value.year:04d}/{value.month:02d}/{value.day:02d}"
+
+
+def file_header_fields(header: LvmFileHeader, ds: str) -> list[tuple[str, str]]:
+    """The file header's (key, value) lines in canonical order, reals and
+    times rendered with decimal separator ds."""
+    fields = [
+        ("Writer_Version", str(header.writer_version)),
+        ("Reader_Version", str(header.reader_version)),
+        ("Separator", header.separator.value),
+        ("Decimal_Separator", header.decimal_separator),
+        ("Multi_Headings", format_bool(header.multi_headings)),
+        ("X_Columns", header.x_columns.value),
+        ("Time_Pref", header.time_pref.value),
+    ]
+    if header.operator:
+        fields.append(("Operator", header.operator))
+    if header.date is not None:
+        fields.append(("Date", format_date(header.date)))
+    if header.time is not None:
+        fields.append(("Time", header.time.render(ds)))
+    fields.extend(header.extra_keys.items())
+    return fields
+
+
+def segment_header_fields(segment: LvmSegment,
+                          ds: str) -> list[tuple[str, Union[str, list[str]]]]:
+    """The segment header's lines in canonical order, reals and times
+    rendered with decimal separator ds: (key, str) for a single value
+    (Notes, Channels, unrecognized keys), else (key, one str per channel)."""
+    fields: list[tuple[str, Union[str, list[str]]]] = []
+    if segment.notes is not None:
+        fields.append(("Notes", segment.notes))
+    fields.append(("Channels", str(segment.channels)))
+    fields.append(("Samples", [str(s) for s in segment.samples_per_channel]))
+    if segment.channel_dates:
+        fields.append(("Date", [format_date(d) for d in segment.channel_dates]))
+    if segment.channel_times:
+        fields.append(("Time", [t.render(ds) for t in segment.channel_times]))
+    fields.append(("X_Dimension", list(segment.x_dimension)))
+    fields.append(("X0", [format_sci16(v, ds) for v in segment.x0]))
+    fields.append(("Delta_X", [format_fixed6(v, ds) for v in segment.delta_x]))
+    fields.extend(segment.extra_keys.items())
+    return fields
+
+
 # --- parsing ---------------------------------------------------------------
+
+def _parse_real(text: str, ds: str, line_no: int, col: int) -> float:
+    value = read_real(text, ds)
+    if value is None:
+        raise MalformedNumber(line_no, col, f"not a number under {ds!r}: {text!r}")
+    return value
+
+
+def _parse_int(text: str, line_no: int, col: int) -> int:
+    value = read_int(text)
+    if value is None:
+        raise MalformedNumber(line_no, col, f"not an integer: {text!r}")
+    return value
+
+
+def _parse_date(text: str, line_no: int, col: int) -> Date:
+    value = read_date(text)
+    if value is None:
+        raise MalformedNumber(line_no, col, f"not a YYYY/MM/DD date: {text!r}")
+    return value
+
+
+def _parse_time(text: str, ds: str, line_no: int, col: int) -> HighPrecisionTime:
+    try:
+        value = read_time(text, ds)
+    except InvariantViolation:
+        raise MalformedNumber(line_no, col, f"time out of range: {text!r}") from None
+    if value is None:
+        raise MalformedNumber(line_no, col, f"not a HH:MM:SS time: {text!r}")
+    return value
+
 
 def _decode(data) -> str:
     if isinstance(data, str):
@@ -226,10 +331,6 @@ def _decode(data) -> str:
 
 def _is_terminator(line: str) -> bool:
     return line.rstrip("\t, ") == HEADER_TERMINATOR
-
-
-def _split_known(line: str, sep: str) -> list[str]:
-    return line.split(sep)
 
 
 def _split_once(line: str, sep: str) -> tuple[str, str]:
@@ -367,37 +468,32 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
         line, line_no = item
         if _is_terminator(line):
             break
-        key = _split_once(line, sep)[0]
+        key, value = _split_once(line, sep)
+        vals = line.split(sep)[1:]
         if key == "Notes":
-            notes = _split_once(line, sep)[1]
+            notes = value
         elif key == "Channels":
-            channels = _parse_int(_split_once(line, sep)[1], line_no, 2)
+            channels = _parse_int(value, line_no, 2)
         elif key == "Samples":
-            vals = _split_known(line, sep)[1:]
-            lists["samples"] = [_parse_int(v, line_no, i + 2) for i, v in enumerate(vals)]
+            lists["samples"] = [_parse_int(v, line_no, i) for i, v in enumerate(vals, 2)]
         elif key == "Date":
-            vals = _split_known(line, sep)[1:]
-            lists["dates"] = [_parse_date(v, line_no, i + 2) for i, v in enumerate(vals)]
+            lists["dates"] = [_parse_date(v, line_no, i) for i, v in enumerate(vals, 2)]
         elif key == "Time":
-            vals = _split_known(line, sep)[1:]
-            lists["times"] = [_parse_time(v, ds, line_no, i + 2) for i, v in enumerate(vals)]
+            lists["times"] = [_parse_time(v, ds, line_no, i) for i, v in enumerate(vals, 2)]
         elif key == "X_Dimension":
-            lists["x_dimension"] = _split_known(line, sep)[1:]
+            lists["x_dimension"] = vals
         elif key == "X0":
-            vals = _split_known(line, sep)[1:]
-            lists["x0"] = [_parse_real(v, ds, line_no, i + 2) for i, v in enumerate(vals)]
+            lists["x0"] = [_parse_real(v, ds, line_no, i) for i, v in enumerate(vals, 2)]
         elif key == "Delta_X":
-            vals = _split_known(line, sep)[1:]
-            lists["delta_x"] = [_parse_real(v, ds, line_no, i + 2) for i, v in enumerate(vals)]
+            lists["delta_x"] = [_parse_real(v, ds, line_no, i) for i, v in enumerate(vals, 2)]
         else:
-            k, v = _split_once(line, sep)
-            extra[k] = v
+            extra[key] = value
 
     item = cursor.next_nonblank()
     if item is None:
         raise ChannelCountMismatch(1 + (channels or 0), 0, "column-name row missing")
     column_line, _ = item
-    column_names = _split_known(column_line, sep)
+    column_names = column_line.split(sep)
     has_comment = column_names[-1] == COMMENT_COLUMN
 
     if channels is None:
@@ -426,14 +522,16 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
             raise ChannelCountMismatch(channels, len(getattr(segment, name)), name)
 
     # data rows run until EOF or until a non-numeric first field, which
-    # marks the start of the next segment's header
+    # marks the start of the next segment's header.  Hot loop: each field is
+    # matched once against the shared real pattern, then converted in place.
+    match_real = _REAL_PATTERNS[ds].match
     while True:
         item = cursor.next_nonblank()
         if item is None:
             break
         line, line_no = item
-        fields = _split_known(line, sep)
-        if not _is_real(fields[0], ds):
+        fields = line.split(sep)
+        if not match_real(fields[0]):
             cursor.push_back()
             break
         if has_comment:
@@ -447,12 +545,16 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
             if len(fields) != 1 + channels:
                 raise ChannelCountMismatch(1 + channels, len(fields), f"data row {line_no}")
             comment = None
-        x = _parse_real(fields[0], ds, line_no, 1)
-        values = tuple(
-            None if f == "" else _parse_real(f, ds, line_no, i + 2)
-            for i, f in enumerate(fields[1:])
-        )
-        segment.rows.append(DataRow(x=x, values=values, comment=comment))
+        values = []
+        for col, f in enumerate(fields[1:], 2):
+            if f == "":
+                values.append(None)
+            elif match_real(f):
+                values.append(float(f.replace(ds, ".")))
+            else:
+                _parse_real(f, ds, line_no, col)  # raises MalformedNumber
+        x = float(fields[0].replace(ds, "."))
+        segment.rows.append(DataRow(x=x, values=tuple(values), comment=comment))
     return segment
 
 
@@ -482,28 +584,10 @@ def serialize_lvm(doc: LvmDocument) -> bytes:
             raise InvariantViolation(f"{what} contains the field separator")
 
     out = [MAGIC_LINE]
-
-    def emit(key: str, *values: str):
-        out.append(sep.join((key,) + values))
-
-    emit("Writer_Version", str(header.writer_version))
-    emit("Reader_Version", str(header.reader_version))
-    emit("Separator", header.separator.value)
-    emit("Decimal_Separator", ds)
-    emit("Multi_Headings", "Yes" if header.multi_headings else "No")
-    emit("X_Columns", header.x_columns.value)
-    emit("Time_Pref", header.time_pref.value)
-    if header.operator:
-        check_text(header.operator, "operator", allow_sep=True)
-        emit("Operator", header.operator)
-    if header.date is not None:
-        emit("Date", header.date.strftime("%Y/%m/%d"))
-    if header.time is not None:
-        emit("Time", header.time.render(ds))
-    for key, value in header.extra_keys.items():
+    for key, value in file_header_fields(header, ds):
         check_text(key, f"header key {key!r}")
         check_text(value, f"value of {key!r}", allow_sep=True)
-        emit(key, value)
+        out.append(key + sep + value)
     out.append(HEADER_TERMINATOR)
 
     for segment in doc.segments:
@@ -529,28 +613,15 @@ def _serialize_segment(segment: LvmSegment, sep: str, ds: str, check_text) -> li
         raise InvariantViolation("column_names length != 1 + channels (+ Comment)")
 
     out = []
-
-    def emit(key: str, *values: str):
-        out.append(sep.join((key,) + values))
-
-    if segment.notes is not None:
-        check_text(segment.notes, "notes", allow_sep=True)
-        emit("Notes", segment.notes)
-    emit("Channels", str(n))
-    emit("Samples", *(str(s) for s in segment.samples_per_channel))
-    if segment.channel_dates:
-        emit("Date", *(d.strftime("%Y/%m/%d") for d in segment.channel_dates))
-    if segment.channel_times:
-        emit("Time", *(t.render(ds) for t in segment.channel_times))
-    for dim in segment.x_dimension:
-        check_text(dim, "x_dimension entry")
-    emit("X_Dimension", *segment.x_dimension)
-    emit("X0", *(format_sci16(v, ds) for v in segment.x0))
-    emit("Delta_X", *(format_fixed6(v, ds) for v in segment.delta_x))
-    for key, value in segment.extra_keys.items():
+    for key, value in segment_header_fields(segment, ds):
         check_text(key, f"segment key {key!r}")
-        check_text(value, f"value of {key!r}", allow_sep=True)
-        emit(key, value)
+        if isinstance(value, str):
+            check_text(value, f"value of {key!r}", allow_sep=True)
+            out.append(key + sep + value)
+        else:
+            for entry in value:
+                check_text(entry, f"{key} entry")
+            out.append(sep.join([key, *value]))
     out.append(HEADER_TERMINATOR)
 
     for name in segment.column_names:

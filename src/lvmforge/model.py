@@ -10,10 +10,8 @@ definition-file format used to add equipment without programming.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from datetime import date as Date
-from datetime import datetime
 from enum import Enum
 from typing import Optional, Union
 
@@ -21,12 +19,24 @@ from .errors import (
     DuplicateParameterName,
     EmptyName,
     InvalidChannelCount,
+    InvariantViolation,
     MalformedDefinition,
     MissingEnumDomain,
     TypeMismatch,
     UnknownUnit,
 )
-from .lvm import HighPrecisionTime
+from .lvm import (
+    ANY_DECIMAL,
+    HighPrecisionTime,
+    format_bool,
+    format_date,
+    format_real,
+    read_bool,
+    read_date,
+    read_int,
+    read_real,
+    read_time,
+)
 
 
 class ConceptCategory(Enum):
@@ -69,10 +79,6 @@ def register_unit(name: str) -> None:
     if not name or not name.strip():
         raise EmptyName("unit name must be non-empty")
     _UNITS.add(name)
-
-
-def known_units() -> frozenset[str]:
-    return frozenset(_UNITS)
 
 
 @dataclass(frozen=True)
@@ -191,52 +197,37 @@ def builtin_sytherm(channel_count: int = 3) -> EquipmentModel:
 
 TypedScalar = Union[int, float, bool, Date, HighPrecisionTime, str]
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_REAL_RE = re.compile(r"^[+-]?(?:\d+(?:[.,]\d*)?|[.,]\d+)(?:[eE][+-]?\d+)?$")
-_TIME_RE = re.compile(r"^(\d{1,2}):(\d{1,2}):(\d{1,2})(?:[.,](\d+))?$")
-_BOOL_WORDS = {"yes": True, "true": True, "no": False, "false": False}
-
 
 def validate_value(definition: ParameterDefinition, raw: str) -> TypedScalar:
     """Apply the parameter's declared type to a raw text value.
 
     Reals accept either "." or "," as decimal separator, booleans accept
     the .lvm Yes/No convention alongside true/false, dates are YYYY/MM/DD
-    and times HH:MM:SS with an optional fractional part.
+    and times HH:MM:SS with an optional fractional part.  The grammars
+    are those of :mod:`lvmforge.lvm`.
     """
     vt = definition.value_type
     if vt is ValueType.INTEGER:
-        if not _INT_RE.match(raw):
-            raise TypeMismatch(definition.name, raw, "expected an integer")
-        return int(raw)
-    if vt is ValueType.REAL:
-        if not _REAL_RE.match(raw):
-            raise TypeMismatch(definition.name, raw, "expected a real")
-        return float(raw.replace(",", "."))
-    if vt is ValueType.BOOLEAN:
+        value, expected = read_int(raw), "expected an integer"
+    elif vt is ValueType.REAL:
+        value, expected = read_real(raw, ANY_DECIMAL), "expected a real"
+    elif vt is ValueType.BOOLEAN:
+        value, expected = read_bool(raw), "expected Yes/No/true/false"
+    elif vt is ValueType.DATE:
+        value, expected = read_date(raw), "expected YYYY/MM/DD"
+    elif vt is ValueType.TIME:
         try:
-            return _BOOL_WORDS[raw.casefold()]
-        except KeyError:
-            raise TypeMismatch(definition.name, raw, "expected Yes/No/true/false") from None
-    if vt is ValueType.DATE:
-        try:
-            return datetime.strptime(raw, "%Y/%m/%d").date()
-        except ValueError:
-            raise TypeMismatch(definition.name, raw, "expected YYYY/MM/DD") from None
-    if vt is ValueType.TIME:
-        m = _TIME_RE.match(raw)
-        if not m:
-            raise TypeMismatch(definition.name, raw, "expected HH:MM:SS[.fff]")
-        h, mi, s = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        if not (h <= 23 and mi <= 59 and s <= 60):
-            raise TypeMismatch(definition.name, raw, "time out of range")
-        return HighPrecisionTime(h, mi, s, m.group(4) or "")
-    if vt is ValueType.ENUMERATION:
-        if raw not in definition.enum_domain:
-            raise TypeMismatch(definition.name, raw,
-                               f"expected one of {', '.join(definition.enum_domain)}")
+            value, expected = read_time(raw, ANY_DECIMAL), "expected HH:MM:SS[.fff]"
+        except InvariantViolation:
+            raise TypeMismatch(definition.name, raw, "time out of range") from None
+    elif vt is ValueType.ENUMERATION:
+        value = raw if raw in definition.enum_domain else None
+        expected = f"expected one of {', '.join(definition.enum_domain)}"
+    else:  # String
         return raw
-    return raw  # String
+    if value is None:
+        raise TypeMismatch(definition.name, raw, expected)
+    return value
 
 
 @dataclass(frozen=True)
@@ -255,20 +246,20 @@ def make_typed(definition: ParameterDefinition, raw: str) -> TypedValue:
 def render_canonical(typed: TypedValue) -> str:
     """Fixed text form of a typed value: the storage/export rendering.
 
-    Integers base-10, reals 6 decimals with ".", booleans Yes/No, dates
-    YYYY/MM/DD, times with the full fraction digit string.  Injective over
-    validate_value's accepted grammars, so storage equality is value
-    equality.
+    Integers base-10; reals with "." and 6 decimals when those hold the
+    value exactly, otherwise in shortest round-trip form; booleans Yes/No;
+    dates YYYY/MM/DD; times with the full fraction digit string.
+    validate_value reads the rendering of every value it returns (finite,
+    for reals) back as that value, so the rendering is injective and
+    storage equality is value equality.
     """
     vt, v = typed.value_type, typed.value
-    if vt is ValueType.INTEGER:
-        return str(v)
     if vt is ValueType.REAL:
-        return f"{v:.6f}"
+        return format_real(v)
     if vt is ValueType.BOOLEAN:
-        return "Yes" if v else "No"
+        return format_bool(v)
     if vt is ValueType.DATE:
-        return v.strftime("%Y/%m/%d")
+        return format_date(v)
     if vt is ValueType.TIME:
         return v.render(".")
     return str(v)

@@ -12,9 +12,10 @@ The schema follows the t_<code>_<name> / <code>_number naming convention:
     t_ser_series                (index, x, y) points per channel series
 
 Values are stored in their canonical text form (see
-:func:`lvmforge.model.render_canonical`), which is injective over the value
-grammars, so get followed by put reconstructs an equal record.  All writes
-are transactional; the engine is SQLite (single writer, many readers).
+:func:`lvmforge.model.render_canonical`), which validate_value reads
+back as the same value, so put followed by get reconstructs an equal
+record.  All writes are transactional; the engine is SQLite (single
+writer, many readers).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     UnknownParameter,
 )
 from .ingest import ChannelSeries, MeasurementRecord, ParsingBinding, ParsingProcedure
+from .lvm import format_date
 from .model import (
     ConceptCategory,
     EquipmentModel,
@@ -224,20 +226,12 @@ class Store:
             (name,)).fetchone()
         if row is None:
             raise UnknownEquipment(name)
-        params = []
-        for prm in self._conn.execute(
-                "SELECT prm_name, prm_category, prm_type, prm_unit, prm_source"
-                " FROM t_prm_parameters WHERE eqp_number = ? ORDER BY prm_number",
-                (row[0],)):
-            value_type, domain = _decode_type(prm[2])
-            params.append(ParameterDefinition(
-                name=prm[0], category=ConceptCategory(prm[1]), value_type=value_type,
-                unit=prm[3], source=ParameterSource(prm[4]), enum_domain=domain))
+        params = tuple(d for _, d in self._parameter_ids(row[0]).values())
         return EquipmentModel(
             name=row[1], producer=row[2], description=row[3], webpage=row[4],
             picture=row[5], visual_model=row[6],
             extensions=frozenset(row[7].split()) if row[7] else frozenset(),
-            parameters=tuple(params),
+            parameters=params,
             ignored_file_keys=frozenset(row[8].split()) if row[8] else frozenset())
 
     def list_equipment(self) -> list[str]:
@@ -400,26 +394,16 @@ class Store:
             sql.append("AND q.eqp_name = ?")
             args.append(equipment)
         if operator is not None:
-            sql.append("AND EXISTS (SELECT 1 FROM t_val_values v"
-                       " JOIN t_prm_parameters p ON p.prm_number = v.prm_number"
-                       " WHERE v.msr_number = m.msr_number"
-                       " AND p.prm_name = 'Operator' AND v.val_text = ?)")
+            sql.append(_has_value("p.prm_name = 'Operator' AND v.val_text = ?"))
             args.append(operator)
         if parameter is not None:
             category, name, text = parameter
-            sql.append("AND EXISTS (SELECT 1 FROM t_val_values v"
-                       " JOIN t_prm_parameters p ON p.prm_number = v.prm_number"
-                       " WHERE v.msr_number = m.msr_number AND p.prm_name = ?"
-                       " AND p.prm_category = ? AND v.val_text = ?)")
+            sql.append(_has_value("p.prm_name = ? AND p.prm_category = ? AND v.val_text = ?"))
             args.extend([name, category.value, text])
         for bound, op in ((date_from, ">="), (date_to, "<=")):
             if bound is not None:
-                text = bound.strftime("%Y/%m/%d") if isinstance(bound, Date) else bound
-                sql.append("AND EXISTS (SELECT 1 FROM t_val_values v"
-                           " JOIN t_prm_parameters p ON p.prm_number = v.prm_number"
-                           " WHERE v.msr_number = m.msr_number"
-                           f" AND p.prm_name = 'Date' AND v.val_text {op} ?)")
-                args.append(text)
+                sql.append(_has_value(f"p.prm_name = 'Date' AND v.val_text {op} ?"))
+                args.append(format_date(bound) if isinstance(bound, Date) else bound)
         sql.append("ORDER BY m.msr_imported_at, m.msr_number")
         return [
             RecordSummary(record_id=r[0], equipment_name=r[1],
@@ -465,6 +449,13 @@ class Store:
                 conn.execute(
                     "INSERT INTO t_val_values (msr_number, prm_number, val_text)"
                     " VALUES (?,?,?)", (msr_number, prm_number, text))
+
+
+def _has_value(condition: str) -> str:
+    """Query filter: the measurement has a parameter value meeting condition."""
+    return ("AND EXISTS (SELECT 1 FROM t_val_values v"
+            " JOIN t_prm_parameters p ON p.prm_number = v.prm_number"
+            f" WHERE v.msr_number = m.msr_number AND {condition})")
 
 
 def _integrity(exc: sqlite3.IntegrityError) -> Exception:

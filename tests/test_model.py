@@ -2,7 +2,7 @@ import random
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lvmforge import (
@@ -15,6 +15,7 @@ from lvmforge import (
     add_parameter,
     builtin_sytherm,
     define_equipment,
+    parse_lvm,
     parse_model_definition,
     register_unit,
     render_canonical,
@@ -27,6 +28,7 @@ from lvmforge.errors import (
     EmptyName,
     InvalidChannelCount,
     MalformedDefinition,
+    MalformedNumber,
     MissingEnumDomain,
     TypeMismatch,
     UnknownUnit,
@@ -180,9 +182,11 @@ _SCALARS = st.one_of(
               st.integers(-10**9, 10**9).map(str)),
     st.tuples(st.just(ValueType.REAL),
               st.integers(-10**9, 10**9).map(lambda k: f"{k / 1e6:.6f}")),
+    st.tuples(st.just(ValueType.REAL),
+              st.floats(allow_nan=False, allow_infinity=False).map(repr)),
     st.tuples(st.just(ValueType.BOOLEAN), st.sampled_from(["Yes", "No", "true", "false"])),
     st.tuples(st.just(ValueType.DATE),
-              st.dates(date(1900, 1, 1), date(2100, 1, 1)).map(lambda d: d.strftime("%Y/%m/%d"))),
+              st.dates().map(lambda d: f"{d.year:04d}/{d.month:02d}/{d.day:02d}")),
     st.tuples(st.just(ValueType.TIME),
               st.builds(lambda h, m, s, f: f"{h}:{m}:{s}" + ("," + f if f else ""),
                         st.integers(0, 23), st.integers(0, 59), st.integers(0, 59),
@@ -199,6 +203,48 @@ def test_accepted_values_roundtrip_through_render(pair):
     value = validate_value(definition, raw)
     rendered = render_canonical(TypedValue(value, vtype))
     assert validate_value(definition, rendered) == value
+
+
+def _parser_reads(kind, text, ds):
+    """The value parse_lvm reads from text in a field of the given kind, or
+    None when it rejects the text."""
+    segment_line = {"real": "", "int": f"Samples\t{text}\n",
+                    "date": f"Date\t{text}\n", "time": f"Time\t{text}\n"}[kind]
+    data = ("LabVIEW Measurement\nSeparator\tTab\n"
+            f"Decimal_Separator\t{ds}\n***End_of_Header***\n"
+            f"Channels\t1\n{segment_line}***End_of_Header***\n"
+            f"X_Value\tY\n0\t{text if kind == 'real' else '1'}\n")
+    try:
+        segment = parse_lvm(data).segments[0]
+    except MalformedNumber:
+        return None
+    read = {"real": [segment.rows[0].values[0]], "int": segment.samples_per_channel,
+            "date": segment.channel_dates, "time": segment.channel_times}
+    return read[kind][0]
+
+
+_GRAMMAR_KINDS = (("real", ValueType.REAL), ("int", ValueType.INTEGER),
+                  ("date", ValueType.DATE), ("time", ValueType.TIME))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("0123456789+-.,:/eE ", max_size=12) | st.text(max_size=8)
+       | st.from_regex(r"[0-9]{1,4}[-/:.,][0-9]{1,2}[-/:.,][0-9]{1,2}([.,][0-9]{0,3})?",
+                       fullmatch=True),
+       st.sampled_from([".", ","]))
+def test_parser_and_model_grammars_agree(text, ds):
+    assume(text and not set(text) & set("\t\r\n"))
+    for kind, value_type in _GRAMMAR_KINDS:
+        parsed = _parser_reads(kind, text, ds)
+        if parsed is None and value_type in (ValueType.REAL, ValueType.TIME):
+            # the model accepts either decimal separator
+            parsed = _parser_reads(kind, text, "," if ds == "." else ".")
+        try:
+            validated = validate_value(ParameterDefinition("P", ConceptCategory.DATA,
+                                                           value_type), text)
+        except TypeMismatch:
+            validated = None
+        assert validated == parsed, kind
 
 
 @settings(max_examples=40, deadline=None)

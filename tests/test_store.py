@@ -4,13 +4,19 @@ import sqlite3
 from datetime import datetime
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lvmforge import (
     ConceptCategory,
     MeasurementRecord,
     ParsingBinding,
+    TypedValue,
+    ValueType,
+    builtin_sytherm,
     init_schema,
     map_lvm_to_record,
+    parse_lvm,
     render_canonical,
 )
 from lvmforge.errors import (
@@ -174,6 +180,25 @@ def test_measurement_roundtrip(store, sytherm3, annex_record):
     loaded = store.get_measurement(msr)
     assert dataclasses.replace(loaded, record_id=None) == annex_record
     assert loaded.record_id == msr
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x0=_FINITE, delta_x=_FINITE)
+@example(x0=1.23456789e-3, delta_x=1.0)
+def test_real_parameters_survive_put_get(annex1_bytes, x0, delta_x):
+    model = builtin_sytherm(3)
+    record = map_lvm_to_record(parse_lvm(annex1_bytes), model,
+                               imported_at=datetime(2024, 3, 1, 10, 0, 0))
+    for name, value in (("X0", x0), ("Delta_X", delta_x)):
+        record.set_value(ConceptCategory.EXPERIMENT_CHARACTERIZATION, name,
+                         TypedValue(value, ValueType.REAL))
+    with init_schema(":memory:") as store:
+        store.put_equipment(model)
+        got = store.get_measurement(store.put_measurement(record))
+    assert got.values == record.values
 
 
 def test_get_missing(store):
