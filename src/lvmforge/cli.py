@@ -145,14 +145,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except FileNotFoundError as exc:
-        print(f"ERROR FileNotFound: {exc}", file=sys.stderr)
-        return 1
-    except LvmforgeError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (LvmforgeError, OSError) as exc:
+        name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        print(f"ERROR {name}: {exc}", file=sys.stderr)
         return 1
 
 

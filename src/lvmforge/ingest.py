@@ -116,9 +116,6 @@ class Registry:
         except KeyError:
             raise UnknownEquipment(name) from None
 
-    def equipment_names(self) -> list[str]:
-        return sorted(self._equipments)
-
     def register_procedure(self, procedure: ParsingProcedure) -> None:
         if procedure.name in self._procedures:
             raise DuplicateProcedure(procedure.name)
@@ -148,9 +145,6 @@ class Registry:
         )
         self._bindings[(equipment, ext)] = binding
         return binding
-
-    def bindings(self) -> list[ParsingBinding]:
-        return list(self._bindings.values())
 
     def resolve(self, equipment: str, filename: str) -> ParsingProcedure:
         """Procedure bound to (equipment, extension-of-filename)."""

@@ -180,10 +180,13 @@ _INT_PATTERN = re.compile(r"^[+-]?\d+$")
 
 
 def read_real(text: str, ds: str = ".") -> Optional[float]:
+    """A finite real: text that overflows to infinity (``1e999``) is
+    outside the grammar, as no renderer or reader takes it back."""
     if not _REAL_PATTERNS[ds].match(text):
         return None
     # the pattern admits no decimal character other than ds
-    return float(text.replace(",", "."))
+    value = float(text.replace(",", "."))
+    return value if math.isfinite(value) else None
 
 
 def read_int(text: str) -> Optional[int]:
@@ -289,35 +292,40 @@ def segment_header_fields(segment: LvmSegment,
 
 # --- parsing ---------------------------------------------------------------
 
-def _parse_real(text: str, ds: str, line_no: int, col: int) -> float:
-    value = read_real(text, ds)
-    if value is None:
-        raise MalformedNumber(line_no, col, f"not a number under {ds!r}: {text!r}")
-    return value
+_GRAMMAR_NAMES = {read_real: "a number under {!r}", read_int: "an integer",
+                  read_date: "a YYYY/MM/DD date", read_time: "a HH:MM:SS time"}
 
 
-def _parse_int(text: str, line_no: int, col: int) -> int:
-    value = read_int(text)
-    if value is None:
-        raise MalformedNumber(line_no, col, f"not an integer: {text!r}")
-    return value
-
-
-def _parse_date(text: str, line_no: int, col: int) -> Date:
-    value = read_date(text)
-    if value is None:
-        raise MalformedNumber(line_no, col, f"not a YYYY/MM/DD date: {text!r}")
-    return value
-
-
-def _parse_time(text: str, ds: str, line_no: int, col: int) -> HighPrecisionTime:
+def _field(read, text: str, line_no: int, col: int, *ds: str):
+    """read(text, *ds), or MalformedNumber(line_no, col) when the reader
+    rejects the text or (for a time) finds it out of range."""
     try:
-        value = read_time(text, ds)
+        value = read(text, *ds)
     except InvariantViolation:
         raise MalformedNumber(line_no, col, f"time out of range: {text!r}") from None
     if value is None:
-        raise MalformedNumber(line_no, col, f"not a HH:MM:SS time: {text!r}")
+        raise MalformedNumber(line_no, col,
+                              f"not {_GRAMMAR_NAMES[read].format(*ds)}: {text!r}")
     return value
+
+
+def _reject_row(fields: list[str], ds: str, line_no: int) -> None:
+    """Raise MalformedNumber for the first non-empty field of a data row
+    that read_real rejects; the row must hold one."""
+    for col, text in enumerate(fields, 1):
+        if text:
+            _field(read_real, text, line_no, col, ds)
+
+
+def _mismatched_channel_list(segment: LvmSegment) -> Optional[str]:
+    """The first per-channel list whose length is not the channel count
+    (dates and times may also be empty), or None."""
+    required = ("samples_per_channel", "x_dimension", "x0", "delta_x")
+    for name in required + ("channel_dates", "channel_times"):
+        length = len(getattr(segment, name))
+        if length != segment.channels and (length or name in required):
+            return name
+    return None
 
 
 def _decode(data) -> str:
@@ -414,9 +422,9 @@ def _parse_file_header(cursor: _Lines) -> LvmFileHeader:
     for line, line_no in raw:
         key, value = _split_once(line, sep)
         if key == "Writer_Version":
-            fields["writer_version"] = _parse_int(value, line_no, 2)
+            fields["writer_version"] = _field(read_int, value, line_no, 2)
         elif key == "Reader_Version":
-            fields["reader_version"] = _parse_int(value, line_no, 2)
+            fields["reader_version"] = _field(read_int, value, line_no, 2)
         elif key == "Separator":
             fields["separator"] = Separator.TAB if sep == "\t" else Separator.COMMA
         elif key == "Decimal_Separator":
@@ -440,14 +448,14 @@ def _parse_file_header(cursor: _Lines) -> LvmFileHeader:
         elif key == "Operator":
             fields["operator"] = value
         elif key == "Date":
-            fields["date"] = _parse_date(value, line_no, 2)
+            fields["date"] = _field(read_date, value, line_no, 2)
         elif key == "Time":
             # decimal separator may be declared after Time; defer
             pending_time = (value, line_no)
         else:
             extra[key] = value
     if pending_time is not None:
-        fields["time"] = _parse_time(pending_time[0], ds, pending_time[1], 2)
+        fields["time"] = _field(read_time, pending_time[0], pending_time[1], 2, ds)
     return LvmFileHeader(extra_keys=extra, **fields)
 
 
@@ -473,19 +481,21 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
         if key == "Notes":
             notes = value
         elif key == "Channels":
-            channels = _parse_int(value, line_no, 2)
+            channels = _field(read_int, value, line_no, 2)
         elif key == "Samples":
-            lists["samples"] = [_parse_int(v, line_no, i) for i, v in enumerate(vals, 2)]
+            lists["samples"] = [_field(read_int, v, line_no, i) for i, v in enumerate(vals, 2)]
         elif key == "Date":
-            lists["dates"] = [_parse_date(v, line_no, i) for i, v in enumerate(vals, 2)]
+            lists["dates"] = [_field(read_date, v, line_no, i) for i, v in enumerate(vals, 2)]
         elif key == "Time":
-            lists["times"] = [_parse_time(v, ds, line_no, i) for i, v in enumerate(vals, 2)]
+            lists["times"] = [_field(read_time, v, line_no, i, ds)
+                              for i, v in enumerate(vals, 2)]
         elif key == "X_Dimension":
             lists["x_dimension"] = vals
         elif key == "X0":
-            lists["x0"] = [_parse_real(v, ds, line_no, i) for i, v in enumerate(vals, 2)]
+            lists["x0"] = [_field(read_real, v, line_no, i, ds) for i, v in enumerate(vals, 2)]
         elif key == "Delta_X":
-            lists["delta_x"] = [_parse_real(v, ds, line_no, i) for i, v in enumerate(vals, 2)]
+            lists["delta_x"] = [_field(read_real, v, line_no, i, ds)
+                                for i, v in enumerate(vals, 2)]
         else:
             extra[key] = value
 
@@ -514,16 +524,14 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
         column_names=column_names,
         extra_keys=extra,
     )
-    for name in ("samples_per_channel", "x_dimension", "x0", "delta_x"):
-        if len(getattr(segment, name)) != channels:
-            raise ChannelCountMismatch(channels, len(getattr(segment, name)), name)
-    for name in ("channel_dates", "channel_times"):
-        if getattr(segment, name) and len(getattr(segment, name)) != channels:
-            raise ChannelCountMismatch(channels, len(getattr(segment, name)), name)
+    name = _mismatched_channel_list(segment)
+    if name:
+        raise ChannelCountMismatch(channels, len(getattr(segment, name)), name)
 
     # data rows run until EOF or until a non-numeric first field, which
     # marks the start of the next segment's header.  Hot loop: each field is
-    # matched once against the shared real pattern, then converted in place.
+    # matched once against the shared real pattern, then converted in place;
+    # one check per row applies read_real's rule that overflow is malformed.
     match_real = _REAL_PATTERNS[ds].match
     while True:
         item = cursor.next_nonblank()
@@ -546,14 +554,16 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
                 raise ChannelCountMismatch(1 + channels, len(fields), f"data row {line_no}")
             comment = None
         values = []
-        for col, f in enumerate(fields[1:], 2):
+        for f in fields[1:]:
             if f == "":
                 values.append(None)
             elif match_real(f):
                 values.append(float(f.replace(ds, ".")))
             else:
-                _parse_real(f, ds, line_no, col)  # raises MalformedNumber
+                _reject_row(fields, ds, line_no)
         x = float(fields[0].replace(ds, "."))
+        if math.inf in values or -math.inf in values or not math.isfinite(x):
+            _reject_row(fields, ds, line_no)
         segment.rows.append(DataRow(x=x, values=tuple(values), comment=comment))
     return segment
 
@@ -599,12 +609,9 @@ def _serialize_segment(segment: LvmSegment, sep: str, ds: str, check_text) -> li
     n = segment.channels
     if n < 1:
         raise InvariantViolation("segment must have at least one channel")
-    for name in ("samples_per_channel", "x_dimension", "x0", "delta_x"):
-        if len(getattr(segment, name)) != n:
-            raise InvariantViolation(f"{name} length != channels")
-    for name in ("channel_dates", "channel_times"):
-        if getattr(segment, name) and len(getattr(segment, name)) != n:
-            raise InvariantViolation(f"{name} length != channels")
+    name = _mismatched_channel_list(segment)
+    if name:
+        raise InvariantViolation(f"{name} length != channels")
     for v in segment.x0 + segment.delta_x:
         if not math.isfinite(v):
             raise InvariantViolation("X0/Delta_X values must be finite")

@@ -249,9 +249,9 @@ def render_canonical(typed: TypedValue) -> str:
     Integers base-10; reals with "." and 6 decimals when those hold the
     value exactly, otherwise in shortest round-trip form; booleans Yes/No;
     dates YYYY/MM/DD; times with the full fraction digit string.
-    validate_value reads the rendering of every value it returns (finite,
-    for reals) back as that value, so the rendering is injective and
-    storage equality is value equality.
+    validate_value reads the rendering of every value it returns back as
+    that value, so the rendering is injective and storage equality is
+    value equality.
     """
     vt, v = typed.value_type, typed.value
     if vt is ValueType.REAL:

@@ -15,7 +15,8 @@ Values are stored in their canonical text form (see
 :func:`lvmforge.model.render_canonical`), which validate_value reads
 back as the same value, so put followed by get reconstructs an equal
 record.  All writes are transactional; the engine is SQLite (single
-writer, many readers).
+writer, many readers).  Every SQLite failure, at open time or later,
+surfaces as a :class:`~lvmforge.errors.StorageError` (see _sqlite_errors).
 """
 
 from __future__ import annotations
@@ -23,9 +24,12 @@ from __future__ import annotations
 import json
 import re
 import sqlite3
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date as Date
 from datetime import datetime
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Union
 
 from .errors import (
@@ -142,38 +146,49 @@ def init_schema(storage_path) -> "Store":
     Idempotent: re-initializing an existing valid store is a no-op.  A store
     written with a different schema version raises SchemaVersionMismatch.
     """
-    try:
+    with _sqlite_errors(storage_path):
         conn = sqlite3.connect(str(storage_path))
-        conn.execute("PRAGMA foreign_keys = ON")
-        version = conn.execute("PRAGMA user_version").fetchone()[0]
+        try:
+            conn.execute("PRAGMA foreign_keys = ON")
+            version = conn.execute("PRAGMA user_version").fetchone()[0]
+            if version == 0:
+                tables = conn.execute(
+                    "SELECT count(*) FROM sqlite_master WHERE type = 'table'").fetchone()[0]
+                if tables:
+                    raise SchemaVersionMismatch(f"{storage_path}: existing database"
+                                                " carries no lvmforge version marker")
+                with conn:
+                    conn.executescript(_SCHEMA)
+                    conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+            elif version != SCHEMA_VERSION:
+                raise SchemaVersionMismatch(
+                    f"{storage_path}: schema version {version}, expected {SCHEMA_VERSION}")
+        except BaseException:
+            conn.close()
+            raise
+    return Store(conn, storage_path)
+
+
+@contextmanager
+def _sqlite_errors(storage_path):
+    """Map every sqlite3 failure in the block onto the StorageError
+    hierarchy: a violated constraint becomes ForeignKeyViolation or
+    DuplicateKey, any other failure StorageUnavailable naming the store."""
+    try:
+        yield
+    except sqlite3.IntegrityError as exc:
+        kind = ForeignKeyViolation if "FOREIGN KEY" in str(exc).upper() else DuplicateKey
+        raise kind(str(exc)) from None
     except sqlite3.Error as exc:
         raise StorageUnavailable(f"{storage_path}: {exc}") from None
-    if version == 0:
-        tables = conn.execute(
-            "SELECT count(*) FROM sqlite_master WHERE type = 'table'").fetchone()[0]
-        if tables:
-            conn.close()
-            raise SchemaVersionMismatch(
-                f"{storage_path}: existing database carries no lvmforge version marker")
-        try:
-            with conn:
-                conn.executescript(_SCHEMA)
-                conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
-        except sqlite3.Error as exc:
-            conn.close()
-            raise StorageUnavailable(f"{storage_path}: {exc}") from None
-    elif version != SCHEMA_VERSION:
-        conn.close()
-        raise SchemaVersionMismatch(
-            f"{storage_path}: schema version {version}, expected {SCHEMA_VERSION}")
-    return Store(conn)
 
 
 class Store:
     """Handle over one on-disk store; use init_schema() to obtain one."""
 
-    def __init__(self, conn: sqlite3.Connection):
+    def __init__(self, conn: sqlite3.Connection, storage_path):
         self._conn = conn
+        self._path = storage_path
 
     def close(self):
         self._conn.close()
@@ -184,49 +199,51 @@ class Store:
     def __exit__(self, *exc_info):
         self.close()
 
+    @contextmanager
+    def _transaction(self):
+        """One atomic write: committed on success, rolled back on any error."""
+        with _sqlite_errors(self._path), self._conn as conn:
+            yield conn
+
+    def _number(self, table: str, code: str, name: str) -> Optional[int]:
+        """The <code>_number of the row named name in table, or None."""
+        row = self._conn.execute(
+            f"SELECT {code}_number FROM {table} WHERE {code}_name = ?", (name,)).fetchone()
+        return None if row is None else row[0]
+
     # -- equipments ---------------------------------------------------------
 
     def put_equipment(self, model: EquipmentModel) -> int:
         """Insert the model and all its parameter rows; returns eqp_number."""
-        try:
-            with self._conn as conn:
-                cur = conn.execute(
-                    "INSERT INTO t_eqp_equipments (eqp_name, eqp_producer,"
-                    " eqp_description, eqp_webpage, eqp_picture, eqp_visualmodel,"
-                    " eqp_extensions, eqp_ignoredkeys) VALUES (?,?,?,?,?,?,?,?)",
-                    (model.name, model.producer, model.description, model.webpage,
-                     model.picture, model.visual_model,
-                     " ".join(sorted(model.extensions)),
-                     " ".join(sorted(model.ignored_file_keys))))
-                eqp = cur.lastrowid
-                for p in model.parameters:
-                    conn.execute(
-                        "INSERT INTO t_prm_parameters (eqp_number, prm_name,"
-                        " prm_category, prm_type, prm_unit, prm_source)"
-                        " VALUES (?,?,?,?,?,?)",
-                        (eqp, p.name, p.category.value, _encode_type(p),
-                         p.unit, p.source.value))
-                return eqp
-        except sqlite3.IntegrityError as exc:
-            raise _integrity(exc) from None
-
-    def _eqp_number(self, name: str) -> int:
-        row = self._conn.execute(
-            "SELECT eqp_number FROM t_eqp_equipments WHERE eqp_name = ?",
-            (name,)).fetchone()
-        if row is None:
-            raise UnknownEquipment(name)
-        return row[0]
+        with self._transaction() as conn:
+            cur = conn.execute(
+                "INSERT INTO t_eqp_equipments (eqp_name, eqp_producer,"
+                " eqp_description, eqp_webpage, eqp_picture, eqp_visualmodel,"
+                " eqp_extensions, eqp_ignoredkeys) VALUES (?,?,?,?,?,?,?,?)",
+                (model.name, model.producer, model.description, model.webpage,
+                 model.picture, model.visual_model,
+                 " ".join(sorted(model.extensions)),
+                 " ".join(sorted(model.ignored_file_keys))))
+            eqp = cur.lastrowid
+            for p in model.parameters:
+                conn.execute(
+                    "INSERT INTO t_prm_parameters (eqp_number, prm_name,"
+                    " prm_category, prm_type, prm_unit, prm_source)"
+                    " VALUES (?,?,?,?,?,?)",
+                    (eqp, p.name, p.category.value, _encode_type(p),
+                     p.unit, p.source.value))
+            return eqp
 
     def get_equipment(self, name: str) -> EquipmentModel:
-        row = self._conn.execute(
-            "SELECT eqp_number, eqp_name, eqp_producer, eqp_description,"
-            " eqp_webpage, eqp_picture, eqp_visualmodel, eqp_extensions,"
-            " eqp_ignoredkeys FROM t_eqp_equipments WHERE eqp_name = ?",
-            (name,)).fetchone()
-        if row is None:
-            raise UnknownEquipment(name)
-        params = tuple(d for _, d in self._parameter_ids(row[0]).values())
+        with _sqlite_errors(self._path):
+            row = self._conn.execute(
+                "SELECT eqp_number, eqp_name, eqp_producer, eqp_description,"
+                " eqp_webpage, eqp_picture, eqp_visualmodel, eqp_extensions,"
+                " eqp_ignoredkeys FROM t_eqp_equipments WHERE eqp_name = ?",
+                (name,)).fetchone()
+            if row is None:
+                raise UnknownEquipment(name)
+            params = tuple(d for _, d in self._parameter_ids(row[0]).values())
         return EquipmentModel(
             name=row[1], producer=row[2], description=row[3], webpage=row[4],
             picture=row[5], visual_model=row[6],
@@ -235,8 +252,9 @@ class Store:
             ignored_file_keys=frozenset(row[8].split()) if row[8] else frozenset())
 
     def list_equipment(self) -> list[str]:
-        return [r[0] for r in self._conn.execute(
-            "SELECT eqp_name FROM t_eqp_equipments ORDER BY eqp_name")]
+        with _sqlite_errors(self._path):
+            return [r[0] for r in self._conn.execute(
+                "SELECT eqp_name FROM t_eqp_equipments ORDER BY eqp_name")]
 
     def _parameter_ids(self, eqp_number: int) -> dict[str, tuple[int, ParameterDefinition]]:
         out = {}
@@ -254,124 +272,111 @@ class Store:
 
     def put_procedure(self, procedure: Union[ParsingProcedure, str]) -> int:
         name = procedure.name if isinstance(procedure, ParsingProcedure) else procedure
-        try:
-            with self._conn as conn:
-                return conn.execute(
-                    "INSERT INTO t_psf_parsingfunction (psf_name) VALUES (?)",
-                    (name,)).lastrowid
-        except sqlite3.IntegrityError as exc:
-            raise _integrity(exc) from None
+        with self._transaction() as conn:
+            return conn.execute(
+                "INSERT INTO t_psf_parsingfunction (psf_name) VALUES (?)",
+                (name,)).lastrowid
 
     def list_procedures(self) -> list[str]:
-        return [r[0] for r in self._conn.execute(
-            "SELECT psf_name FROM t_psf_parsingfunction ORDER BY psf_number")]
+        with _sqlite_errors(self._path):
+            return [r[0] for r in self._conn.execute(
+                "SELECT psf_name FROM t_psf_parsingfunction ORDER BY psf_number")]
 
     def put_binding(self, binding: ParsingBinding) -> str:
         """Insert the link row; returns efe_number (the binding name)."""
-        eqp = self._conn.execute(
-            "SELECT eqp_number FROM t_eqp_equipments WHERE eqp_name = ?",
-            (binding.equipment_name,)).fetchone()
-        psf = self._conn.execute(
-            "SELECT psf_number FROM t_psf_parsingfunction WHERE psf_name = ?",
-            (binding.procedure_name,)).fetchone()
-        if eqp is None or psf is None:
-            missing = binding.equipment_name if eqp is None else binding.procedure_name
-            raise ForeignKeyViolation(f"binding references missing {missing!r}")
-        try:
-            with self._conn as conn:
-                conn.execute(
-                    "INSERT INTO t_efe_equipmentfileextension"
-                    " (efe_number, eqp_number, psf_number, efe_extension)"
-                    " VALUES (?,?,?,?)",
-                    (binding.binding_name, eqp[0], psf[0], binding.extension))
-        except sqlite3.IntegrityError as exc:
-            raise _integrity(exc) from None
+        with self._transaction() as conn:
+            eqp = self._number("t_eqp_equipments", "eqp", binding.equipment_name)
+            psf = self._number("t_psf_parsingfunction", "psf", binding.procedure_name)
+            if eqp is None or psf is None:
+                missing = binding.equipment_name if eqp is None else binding.procedure_name
+                raise ForeignKeyViolation(f"binding references missing {missing!r}")
+            conn.execute(
+                "INSERT INTO t_efe_equipmentfileextension"
+                " (efe_number, eqp_number, psf_number, efe_extension)"
+                " VALUES (?,?,?,?)",
+                (binding.binding_name, eqp, psf, binding.extension))
         return binding.binding_name
 
     def list_bindings(self) -> list[ParsingBinding]:
-        return [
-            ParsingBinding(binding_name=r[0], equipment_name=r[1],
-                           procedure_name=r[2], extension=r[3])
-            for r in self._conn.execute(
-                "SELECT e.efe_number, q.eqp_name, p.psf_name, e.efe_extension"
-                " FROM t_efe_equipmentfileextension e"
-                " JOIN t_eqp_equipments q ON q.eqp_number = e.eqp_number"
-                " JOIN t_psf_parsingfunction p ON p.psf_number = e.psf_number"
-                " ORDER BY e.rowid")
-        ]
+        with _sqlite_errors(self._path):
+            return [
+                ParsingBinding(binding_name=r[0], equipment_name=r[1],
+                               procedure_name=r[2], extension=r[3])
+                for r in self._conn.execute(
+                    "SELECT e.efe_number, q.eqp_name, p.psf_name, e.efe_extension"
+                    " FROM t_efe_equipmentfileextension e"
+                    " JOIN t_eqp_equipments q ON q.eqp_number = e.eqp_number"
+                    " JOIN t_psf_parsingfunction p ON p.psf_number = e.psf_number"
+                    " ORDER BY e.rowid")
+            ]
 
     # -- measurements ----------------------------------------------------------
 
     def put_measurement(self, record: MeasurementRecord) -> int:
-        eqp = self._eqp_number(record.equipment_name)
-        params = self._parameter_ids(eqp)
-        try:
-            with self._conn as conn:
-                cur = conn.execute(
-                    "INSERT INTO t_msr_measurements (eqp_number, msr_imported_at,"
-                    " msr_sourcefile, msr_warnings, msr_aux) VALUES (?,?,?,?,?)",
-                    (eqp, record.imported_at.isoformat(), record.source_file,
-                     json.dumps(record.warnings), json.dumps(record.aux)))
-                msr = cur.lastrowid
-                for per_category in record.values.values():
-                    for name, typed in per_category.items():
-                        if name not in params:
-                            raise UnknownParameter(f"{record.equipment_name}: {name}")
-                        conn.execute(
-                            "INSERT INTO t_val_values (msr_number, prm_number, val_text)"
-                            " VALUES (?,?,?)",
-                            (msr, params[name][0], render_canonical(typed)))
-                for series in record.series:
-                    if series.name not in params:
-                        raise UnknownParameter(f"{record.equipment_name}: {series.name}")
-                    prm = params[series.name][0]
-                    for index, (x, y) in enumerate(series.points):
-                        conn.execute(
-                            "INSERT INTO t_ser_series (msr_number, prm_number,"
-                            " ser_index, ser_x, ser_y) VALUES (?,?,?,?,?)",
-                            (msr, prm, index, x, y))
-                return msr
-        except sqlite3.IntegrityError as exc:
-            raise _integrity(exc) from None
+        with self._transaction() as conn:
+            eqp = self._number("t_eqp_equipments", "eqp", record.equipment_name)
+            if eqp is None:
+                raise UnknownEquipment(record.equipment_name)
+            params = self._parameter_ids(eqp)
+            cur = conn.execute(
+                "INSERT INTO t_msr_measurements (eqp_number, msr_imported_at,"
+                " msr_sourcefile, msr_warnings, msr_aux) VALUES (?,?,?,?,?)",
+                (eqp, record.imported_at.isoformat(), record.source_file,
+                 json.dumps(record.warnings), json.dumps(record.aux)))
+            msr = cur.lastrowid
+            for per_category in record.values.values():
+                for name, typed in per_category.items():
+                    if name not in params:
+                        raise UnknownParameter(f"{record.equipment_name}: {name}")
+                    conn.execute(
+                        "INSERT INTO t_val_values (msr_number, prm_number, val_text)"
+                        " VALUES (?,?,?)",
+                        (msr, params[name][0], render_canonical(typed)))
+            for series in record.series:
+                if series.name not in params:
+                    raise UnknownParameter(f"{record.equipment_name}: {series.name}")
+                prm = params[series.name][0]
+                for index, (x, y) in enumerate(series.points):
+                    conn.execute(
+                        "INSERT INTO t_ser_series (msr_number, prm_number,"
+                        " ser_index, ser_x, ser_y) VALUES (?,?,?,?,?)",
+                        (msr, prm, index, x, y))
+            return msr
 
     def get_measurement(self, msr_number: int) -> MeasurementRecord:
-        row = self._conn.execute(
-            "SELECT m.eqp_number, q.eqp_name, m.msr_imported_at, m.msr_sourcefile,"
-            " m.msr_warnings, m.msr_aux FROM t_msr_measurements m"
-            " JOIN t_eqp_equipments q ON q.eqp_number = m.eqp_number"
-            " WHERE m.msr_number = ?", (msr_number,)).fetchone()
-        if row is None:
-            raise NotFound(f"measurement {msr_number}")
-        params = self._parameter_ids(row[0])
-        by_id = {number: definition for number, definition in params.values()}
-        record = MeasurementRecord(
-            equipment_name=row[1],
-            imported_at=datetime.fromisoformat(row[2]),
-            source_file=row[3],
-            warnings=json.loads(row[4]),
-            aux=json.loads(row[5]),
-            record_id=msr_number,
-        )
-        for prm_number, text in self._conn.execute(
-                "SELECT prm_number, val_text FROM t_val_values"
-                " WHERE msr_number = ? ORDER BY val_number", (msr_number,)):
-            definition = by_id[prm_number]
-            record.set_value(definition.category, definition.name,
-                             make_typed(definition, text))
-        current: Optional[int] = None
-        points: list[tuple[float, float]] = []
-        for prm_number, x, y in self._conn.execute(
-                "SELECT prm_number, ser_x, ser_y FROM t_ser_series"
-                " WHERE msr_number = ? ORDER BY ser_number", (msr_number,)):
-            if prm_number != current:
-                if current is not None:
-                    d = by_id[current]
-                    record.series.append(ChannelSeries(d.name, d.unit, tuple(points)))
-                current, points = prm_number, []
-            points.append((x, y))
-        if current is not None:
-            d = by_id[current]
-            record.series.append(ChannelSeries(d.name, d.unit, tuple(points)))
+        with _sqlite_errors(self._path):
+            row = self._conn.execute(
+                "SELECT m.eqp_number, q.eqp_name, m.msr_imported_at, m.msr_sourcefile,"
+                " m.msr_warnings, m.msr_aux FROM t_msr_measurements m"
+                " JOIN t_eqp_equipments q ON q.eqp_number = m.eqp_number"
+                " WHERE m.msr_number = ?", (msr_number,)).fetchone()
+            if row is None:
+                raise NotFound(f"measurement {msr_number}")
+            params = self._parameter_ids(row[0])
+            by_id = {number: definition for number, definition in params.values()}
+            record = MeasurementRecord(
+                equipment_name=row[1],
+                imported_at=datetime.fromisoformat(row[2]),
+                source_file=row[3],
+                warnings=json.loads(row[4]),
+                aux=json.loads(row[5]),
+                record_id=msr_number,
+            )
+            for prm_number, text in self._conn.execute(
+                    "SELECT prm_number, val_text FROM t_val_values"
+                    " WHERE msr_number = ? ORDER BY val_number", (msr_number,)):
+                definition = by_id[prm_number]
+                record.set_value(definition.category, definition.name,
+                                 make_typed(definition, text))
+            # grouped straight off the cursor, each group a tuple built from a
+            # list: a fetchall() first or a generator read measurably slower
+            for prm_number, rows in groupby(self._conn.execute(
+                    "SELECT prm_number, ser_x, ser_y FROM t_ser_series"
+                    " WHERE msr_number = ? ORDER BY ser_number", (msr_number,)),
+                    itemgetter(0)):
+                d = by_id[prm_number]
+                record.series.append(ChannelSeries(d.name, d.unit,
+                                                   tuple([(x, y) for _, x, y in rows])))
         return record
 
     def query(self, equipment: Optional[str] = None, operator: Optional[str] = None,
@@ -405,24 +410,22 @@ class Store:
                 sql.append(_has_value(f"p.prm_name = 'Date' AND v.val_text {op} ?"))
                 args.append(format_date(bound) if isinstance(bound, Date) else bound)
         sql.append("ORDER BY m.msr_imported_at, m.msr_number")
-        return [
-            RecordSummary(record_id=r[0], equipment_name=r[1],
-                          imported_at=datetime.fromisoformat(r[2]),
-                          source_file=r[3], operator=r[4])
-            for r in self._conn.execute(" ".join(sql), args)
-        ]
+        with _sqlite_errors(self._path):
+            return [
+                RecordSummary(record_id=r[0], equipment_name=r[1],
+                              imported_at=datetime.fromisoformat(r[2]),
+                              source_file=r[3], operator=r[4])
+                for r in self._conn.execute(" ".join(sql), args)
+            ]
 
     def delete_measurement(self, msr_number: int) -> None:
         """Remove the measurement with its value and series rows."""
-        with self._conn as conn:
-            found = conn.execute(
-                "SELECT 1 FROM t_msr_measurements WHERE msr_number = ?",
-                (msr_number,)).fetchone()
-            if found is None:
-                raise NotFound(f"measurement {msr_number}")
+        with self._transaction() as conn:
             conn.execute("DELETE FROM t_ser_series WHERE msr_number = ?", (msr_number,))
             conn.execute("DELETE FROM t_val_values WHERE msr_number = ?", (msr_number,))
-            conn.execute("DELETE FROM t_msr_measurements WHERE msr_number = ?", (msr_number,))
+            if not conn.execute("DELETE FROM t_msr_measurements WHERE msr_number = ?",
+                                (msr_number,)).rowcount:
+                raise NotFound(f"measurement {msr_number}")
 
     def update_value(self, msr_number: int, parameter: str, raw: str) -> None:
         """Replace one parameter value with the canonical rendering of ``raw``.
@@ -430,17 +433,17 @@ class Store:
         The new text must pass the parameter's declared value grammar;
         on TypeMismatch the stored value is unchanged.
         """
-        row = self._conn.execute(
-            "SELECT eqp_number FROM t_msr_measurements WHERE msr_number = ?",
-            (msr_number,)).fetchone()
-        if row is None:
-            raise NotFound(f"measurement {msr_number}")
-        params = self._parameter_ids(row[0])
-        if parameter not in params:
-            raise UnknownParameter(parameter)
-        prm_number, definition = params[parameter]
-        text = render_canonical(make_typed(definition, raw))
-        with self._conn as conn:
+        with self._transaction() as conn:
+            row = conn.execute(
+                "SELECT eqp_number FROM t_msr_measurements WHERE msr_number = ?",
+                (msr_number,)).fetchone()
+            if row is None:
+                raise NotFound(f"measurement {msr_number}")
+            params = self._parameter_ids(row[0])
+            if parameter not in params:
+                raise UnknownParameter(parameter)
+            prm_number, definition = params[parameter]
+            text = render_canonical(make_typed(definition, raw))
             updated = conn.execute(
                 "UPDATE t_val_values SET val_text = ?"
                 " WHERE msr_number = ? AND prm_number = ?",
@@ -457,8 +460,3 @@ def _has_value(condition: str) -> str:
             " JOIN t_prm_parameters p ON p.prm_number = v.prm_number"
             f" WHERE v.msr_number = m.msr_number AND {condition})")
 
-
-def _integrity(exc: sqlite3.IntegrityError) -> Exception:
-    if "FOREIGN KEY" in str(exc).upper():
-        return ForeignKeyViolation(str(exc))
-    return DuplicateKey(str(exc))

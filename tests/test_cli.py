@@ -1,3 +1,4 @@
+import sqlite3
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -177,3 +178,17 @@ def test_store_env_var(tmp_path, monkeypatch, capsys):
     assert run(["init"]) == 0
     capsys.readouterr()
     assert run(["list"]) == 0
+
+
+def test_storage_failure_is_one_error_line(cli_with_sytherm, tmp_path):
+    record_id = import_annex(cli_with_sytherm)
+    store_path = tmp_path / "store.db"
+    conn = sqlite3.connect(store_path)
+    conn.execute("DROP TABLE t_ser_series")
+    conn.close()
+    for argv in (("show", record_id), ("remove", record_id),
+                 ("import", str(ANNEX1_PATH), "--equipment", "SYTHERM")):
+        lines = cli_with_sytherm(*argv, expect=1).err.splitlines()
+        assert len(lines) == 1, argv
+        assert lines[0].startswith("ERROR StorageUnavailable:"), argv
+        assert str(store_path) in lines[0], argv

@@ -129,6 +129,22 @@ def test_malformed_number_position():
     assert info.value.column == 2
 
 
+def test_overflowing_header_real_is_malformed(annex1_bytes):
+    # 1e999 overflows to inf, which no renderer writes back (format_sci16 fails)
+    text = annex1_bytes.decode().replace("X0\t0,0000000000000000E+0", "X0\t1e999", 1)
+    with pytest.raises(MalformedNumber) as info:
+        parse_lvm(text)
+    assert (info.value.line, info.value.column) == (21, 2)
+
+
+@pytest.mark.parametrize("row, column", [("1.5\t1e999", 2), ("1.5\t-1e999", 2),
+                                         ("1e999\t20.0", 1), ("1.5\t1e999x", 2)])
+def test_overflowing_sample_is_malformed(row, column):
+    with pytest.raises(MalformedNumber) as info:
+        parse_lvm(MINIMAL + row + "\n")
+    assert (info.value.line, info.value.column) == (8, column)
+
+
 def test_row_field_count_mismatch():
     with pytest.raises(ChannelCountMismatch) as info:
         parse_lvm(MINIMAL + "1.5\t20.0\t30.0\n")

@@ -2,7 +2,7 @@ import random
 from datetime import date
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lvmforge import (
@@ -232,6 +232,8 @@ _GRAMMAR_KINDS = (("real", ValueType.REAL), ("int", ValueType.INTEGER),
        | st.from_regex(r"[0-9]{1,4}[-/:.,][0-9]{1,2}[-/:.,][0-9]{1,2}([.,][0-9]{0,3})?",
                        fullmatch=True),
        st.sampled_from([".", ","]))
+@example("1e999", ".")
+@example("-1e999", ".")
 def test_parser_and_model_grammars_agree(text, ds):
     assume(text and not set(text) & set("\t\r\n"))
     for kind, value_type in _GRAMMAR_KINDS:

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import sqlite3
 from datetime import datetime
 
@@ -251,6 +252,15 @@ def test_update_value_type_mismatch(store, sytherm3, annex_record):
     assert loaded.get_value(ConceptCategory.EXPERIMENT_CHARACTERIZATION, "Channels") == 3
 
 
+def test_update_value_rejects_overflowing_real(store, sytherm3, annex_record):
+    store.put_equipment(sytherm3)
+    msr = store.put_measurement(annex_record)
+    with pytest.raises(TypeMismatch):
+        store.update_value(msr, "X0", "1e999")
+    loaded = store.get_measurement(msr)
+    assert loaded.get_value(ConceptCategory.EXPERIMENT_CHARACTERIZATION, "X0") == 0.0
+
+
 def test_update_value_missing_record(store, sytherm3):
     store.put_equipment(sytherm3)
     with pytest.raises(NotFound):
@@ -300,3 +310,62 @@ def test_query_matches_brute_force(store, sytherm3, annex1_doc):
                    {"date_to": "2013/02/05"},
                    {"operator": "Student1", "date_from": "2013/02/02", "date_to": "2013/02/08"}):
         assert [s.record_id for s in store.query(**kwargs)] == brute(**kwargs), kwargs
+
+
+# every public Store method, called on a store that holds equipment SYTHERM,
+# procedure LVM_PARSING and measurement msr
+_STORE_CALLS = {
+    "put_equipment": lambda s, r, msr: s.put_equipment(
+        dataclasses.replace(builtin_sytherm(2), name="OTHER")),
+    "get_equipment": lambda s, r, msr: s.get_equipment("SYTHERM"),
+    "list_equipment": lambda s, r, msr: s.list_equipment(),
+    "put_procedure": lambda s, r, msr: s.put_procedure("OTHER"),
+    "list_procedures": lambda s, r, msr: s.list_procedures(),
+    "put_binding": lambda s, r, msr: s.put_binding(
+        ParsingBinding("LVM_PARSING_LVM", "SYTHERM", "LVM_PARSING", "lvm")),
+    "list_bindings": lambda s, r, msr: s.list_bindings(),
+    "put_measurement": lambda s, r, msr: s.put_measurement(r),
+    "get_measurement": lambda s, r, msr: s.get_measurement(msr),
+    "query": lambda s, r, msr: s.query(operator="Profesor"),
+    "delete_measurement": lambda s, r, msr: s.delete_measurement(msr),
+    "update_value": lambda s, r, msr: s.update_value(msr, "Operator", "Student1"),
+}
+_WRITES = {"put_equipment", "put_procedure", "put_binding", "put_measurement",
+           "delete_measurement", "update_value"}
+
+
+def _drop_series(path, store):
+    store._conn.execute("DROP TABLE t_ser_series")
+    return None
+
+
+def _lock(mode):
+    def hold(path, store):
+        other = sqlite3.connect(path, isolation_level=None)
+        other.execute(f"BEGIN {mode}")
+        return other
+    return hold
+
+
+@pytest.mark.parametrize("break_store, methods", [
+    (_drop_series, {"put_measurement", "get_measurement", "delete_measurement"}),
+    (_lock("IMMEDIATE"), _WRITES),
+    (_lock("EXCLUSIVE"), set(_STORE_CALLS)),
+], ids=["series-table-dropped", "write-locked", "exclusively-locked"])
+def test_no_sqlite_error_escapes(tmp_path, sytherm3, annex_record, break_store, methods):
+    path = tmp_path / "store.db"
+    with init_schema(path) as store:
+        store.put_equipment(sytherm3)
+        store.put_procedure("LVM_PARSING")
+        msr = store.put_measurement(annex_record)
+        before = {t: count(store, t) for t in EXPECTED_TABLES}
+        store._conn.execute("PRAGMA busy_timeout = 0")
+        other = break_store(path, store)
+        for name in sorted(methods):
+            with pytest.raises(StorageUnavailable, match=re.escape(str(path))):
+                _STORE_CALLS[name](store, annex_record, msr)
+        if other is not None:
+            other.close()
+        # every failed write rolled back completely
+        assert {t: count(store, t) for t in table_names(store)} == \
+            {t: n for t, n in before.items() if t in table_names(store)}
