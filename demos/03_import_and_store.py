@@ -24,7 +24,8 @@ from lvmforge import (
 from lvmforge.errors import NoBinding
 from lvmforge.ingest import LVM_HANDLER_ID
 
-workdir = Path(tempfile.mkdtemp(prefix="lvmforge-demo-"))
+workspace = tempfile.TemporaryDirectory(prefix="lvmforge-demo-")
+workdir = Path(workspace.name)
 
 # Write a three-channel measurement file to import.
 responses = [
@@ -76,3 +77,4 @@ print("after edit:", store.get_measurement(record_id).get_value(mi, "Operator"))
 store.delete_measurement(record_id)
 print("after remove:", [s.record_id for s in store.query()])
 store.close()
+workspace.cleanup()

@@ -6,49 +6,84 @@ except REAL parameters that need more than 6 decimals, which print in
 shortest round-trip form (see :func:`lvmforge.model.render_canonical`).
 Timestamps are ISO 8601, and identical records produce byte-identical
 output.
+
+Both formats are written in one pass over the record, in time linear in
+rows × channels.  The XML is written as text, in exactly the bytes that
+``xml.etree.ElementTree`` gives for the same tree after ``ET.indent``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import xml.etree.ElementTree as ET
 
 from .ingest import MeasurementRecord
-from .lvm import format_fixed6
+from .lvm import FIXED6, format_fixed6
 from .model import ConceptCategory, render_canonical
+
+_DECLARATION = "<?xml version='1.0' encoding='utf-8'?>"
+_INDENT = "  "
+
+
+def _escape_attr(text: str) -> str:
+    """An attribute value escaped as ElementTree escapes it."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;").replace("\r", "&#13;").replace("\n", "&#10;")
+            .replace("\t", "&#09;"))
+
+
+def _escape_text(text: str) -> str:
+    """Element text escaped as ElementTree escapes it."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _start_tag(depth: int, tag: str, attrs: dict[str, str]) -> str:
+    """An indented start tag, without its closing ``>`` or `` />``."""
+    items = "".join(f' {key}="{_escape_attr(value)}"' for key, value in attrs.items())
+    return f"{_INDENT * depth}<{tag}{items}"
+
 
 def export_xml(record: MeasurementRecord) -> bytes:
     """UTF-8 XML: measurement root, one category element per non-empty
     category (in canonical order), parameter elements with name/type/unit
     attributes and the canonical value as text, and one series element per
     channel with x/y point attributes."""
-    root = ET.Element("measurement", {
-        "equipment": record.equipment_name,
-        "imported-at": record.imported_at.isoformat(),
-        "source-file": record.source_file,
-    })
+    body = []
     for category in ConceptCategory:
         values = record.values.get(category)
         if not values:
             continue
-        element = ET.SubElement(root, "category", {"name": category.value})
+        body.append(_start_tag(1, "category", {"name": category.value}) + ">")
         for name, typed in values.items():
             attrs = {"name": name, "type": typed.value_type.value}
             if typed.unit is not None:
                 attrs["unit"] = typed.unit
-            ET.SubElement(element, "parameter", attrs).text = render_canonical(typed)
+            tag = _start_tag(2, "parameter", attrs)
+            text = render_canonical(typed)
+            body.append(f"{tag}>{_escape_text(text)}</parameter>" if text else tag + " />")
+        body.append(_INDENT + "</category>")
+    point = f'{_INDENT * 2}<point x="{FIXED6}" y="{FIXED6}" />'
     for series in record.series:
         attrs = {"name": series.name}
         if series.unit is not None:
             attrs["unit"] = series.unit
-        element = ET.SubElement(root, "series", attrs)
-        for x, y in series.points:
-            ET.SubElement(element, "point",
-                          {"x": format_fixed6(x), "y": format_fixed6(y)})
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+        tag = _start_tag(1, "series", attrs)
+        if not series.points:
+            body.append(tag + " />")
+            continue
+        body.append(tag + ">")
+        body.extend([point % xy for xy in series.points])
+        body.append(_INDENT + "</series>")
+    root = _start_tag(0, "measurement", {
+        "equipment": record.equipment_name,
+        "imported-at": record.imported_at.isoformat(),
+        "source-file": record.source_file,
+    })
+    if body:
+        lines = [_DECLARATION, root + ">", *body, "</measurement>"]
+    else:
+        lines = [_DECLARATION, root + " />"]
+    return ("\n".join(lines) + "\n").encode("utf-8", "xmlcharrefreplace")
 
 
 def export_csv(record: MeasurementRecord) -> bytes:
@@ -65,10 +100,12 @@ def export_csv(record: MeasurementRecord) -> bytes:
     if record.series:
         writer.writerow([])
         writer.writerow(["X_Value"] + [s.name for s in record.series])
+        # one x -> y map per channel; a repeated x keeps its last y
+        columns = [dict(series.points) for series in record.series]
         for x in _abscissae(record):
             row = [format_fixed6(x)]
-            for series in record.series:
-                y = dict(series.points).get(x)
+            for column in columns:
+                y = column.get(x)
                 row.append("" if y is None else format_fixed6(y))
             writer.writerow(row)
     return buffer.getvalue().encode("utf-8")

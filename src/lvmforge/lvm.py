@@ -215,9 +215,14 @@ def read_time(text: str, ds: str = ".") -> Optional[HighPrecisionTime]:
                              m.group(4) or "")
 
 
+# printf-style spec of the fixed-6 rendering, for callers that write many
+# numbers into one template
+FIXED6 = "%.6f"
+
+
 def format_fixed6(value: float, ds: str = ".") -> str:
     """Render a real with 6 fixed decimals, matching the data-block style."""
-    text = f"{value:.6f}"
+    text = FIXED6 % value
     return text if ds == "." else text.replace(".", ds)
 
 
@@ -332,7 +337,7 @@ def _decode(data) -> str:
     if isinstance(data, str):
         return data
     try:
-        return bytes(data).decode("utf-8")
+        return bytes(data).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise UnsupportedFeature(f"input is not UTF-8 text: {exc}") from None
 
@@ -367,6 +372,8 @@ class _Lines:
 
 def parse_lvm(data) -> LvmDocument:
     """Parse .lvm text (bytes or str) into an :class:`LvmDocument`.
+
+    Bytes are read as UTF-8; a leading UTF-8 byte-order mark is dropped.
 
     Raises MissingMagicLine, MissingHeaderTerminator, MalformedNumber,
     ChannelCountMismatch or UnsupportedFeature on malformed or

@@ -15,3 +15,4 @@ def test_demo_runs(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    assert not list(tmp_path.glob("lvmforge-demo-*")), "demo left its work directory"

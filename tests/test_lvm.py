@@ -22,6 +22,7 @@ from lvmforge.errors import (
     ChannelCountMismatch,
     IndexOutOfRange,
     InvariantViolation,
+    LvmforgeError,
     MalformedNumber,
     MissingHeaderTerminator,
     MissingMagicLine,
@@ -105,6 +106,10 @@ def test_crlf_input(annex1_bytes):
     crlf = annex1_bytes.replace(b"\n", b"\r\n")
     assert parse_lvm(crlf) == parse_lvm(annex1_bytes)
     assert b"\r" not in serialize_lvm(parse_lvm(crlf))
+
+
+def test_utf8_bom_is_stripped(annex1_bytes):
+    assert parse_lvm(b"\xef\xbb\xbf" + annex1_bytes) == parse_lvm(annex1_bytes)
 
 
 def test_missing_magic_line():
@@ -298,3 +303,18 @@ def test_fraction_digits_byte_exact(seed):
     for ours, theirs in zip(doc.segments, again.segments):
         for a, b in zip(ours.channel_times, theirs.channel_times):
             assert a.fraction_digits == b.fraction_digits
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_annex1_parses_or_raises_lvmforge_error(annex1_bytes, data):
+    """Bytes spliced into the fixture at any offset, replacing any short
+    span, give a document or one LvmforgeError, never another exception."""
+    start = data.draw(st.integers(0, len(annex1_bytes)), label="offset")
+    stop = data.draw(st.integers(start, min(start + 16, len(annex1_bytes))), label="stop")
+    mutated = annex1_bytes[:start] + data.draw(st.binary(max_size=16), label="splice") \
+        + annex1_bytes[stop:]
+    try:
+        parse_lvm(mutated)
+    except LvmforgeError:
+        pass
