@@ -13,11 +13,11 @@ generator, so every stochastic result is reproducible.
 from __future__ import annotations
 
 import math
+import random
+import statistics
 from dataclasses import dataclass
 from datetime import date as Date
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     DegenerateStep,
@@ -75,13 +75,13 @@ def nonlinearity_error(data: NonLinearityInput) -> list[float]:
     denominator taken signed.  Raises DenominatorZero(i) when a reference
     point equals the ambient reference.
     """
-    t_real = np.asarray(data.t_real, dtype=float)
-    t_ref = np.asarray(data.t_ref, dtype=float)
-    denominator = data.t_ref30 - t_ref
-    zero = np.nonzero(denominator == 0.0)[0]
-    if zero.size:
-        raise DenominatorZero(int(zero[0]))
-    return (np.abs(t_real - t_ref) / denominator * 100.0).tolist()
+    errors = []
+    for i, (real, ref) in enumerate(zip(data.t_real, data.t_ref)):
+        denominator = data.t_ref30 - ref
+        if denominator == 0.0:
+            raise DenominatorZero(i)
+        errors.append(abs(real - ref) / denominator * 100.0)
+    return errors
 
 
 @dataclass(frozen=True)
@@ -103,14 +103,6 @@ class StepResponse:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise InvariantViolation("sample times must be strictly increasing")
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples])
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return np.array([y for _, y in self.samples])
-
 
 def detect_steady_state(samples: Sequence[float], window: int = DEFAULT_STEADY_WINDOW,
                         epsilon: float = DEFAULT_STEADY_EPSILON) -> Optional[int]:
@@ -123,13 +115,13 @@ def detect_steady_state(samples: Sequence[float], window: int = DEFAULT_STEADY_W
         raise InvalidParameters(f"window must be >= 2, got {window}")
     if epsilon <= 0:
         raise InvalidParameters(f"epsilon must be > 0, got {epsilon}")
-    y = np.asarray(samples, dtype=float)
-    if y.size < window:
-        raise InsufficientData(f"{y.size} samples, window {window}")
-    windows = np.lib.stride_tricks.sliding_window_view(y, window)
-    spans = windows.max(axis=1) - windows.min(axis=1)
-    hits = np.nonzero(spans < epsilon)[0]
-    return int(hits[0]) if hits.size else None
+    if len(samples) < window:
+        raise InsufficientData(f"{len(samples)} samples, window {window}")
+    for i in range(len(samples) - window + 1):
+        chunk = samples[i:i + window]
+        if max(chunk) - min(chunk) < epsilon:
+            return i
+    return None
 
 
 def estimate_time_constant(response: StepResponse) -> float:
@@ -145,18 +137,13 @@ def estimate_time_constant(response: StepResponse) -> float:
     level = response.y0 + LEVEL_FRACTION * (response.y_inf - response.y0)
     direction = 1.0 if response.y_inf > response.y0 else -1.0
 
-    times = response.times
-    outputs = response.outputs
-    reached = (outputs - level) * direction >= 0.0
-    hits = np.nonzero(reached)[0]
-    if not hits.size:
-        raise NoCrossing(f"response never reaches {level:.6f}")
-    k = int(hits[0])
-    if k == 0 or outputs[k] == level:
-        return float(times[k])
-    t0, t1 = times[k - 1], times[k]
-    y0, y1 = outputs[k - 1], outputs[k]
-    return float(t0 + (level - y0) * (t1 - t0) / (y1 - y0))
+    for k, (t1, y1) in enumerate(response.samples):
+        if (y1 - level) * direction >= 0.0:
+            if k == 0 or y1 == level:
+                return float(t1)
+            t0, y0 = response.samples[k - 1]
+            return float(t0 + (level - y0) * (t1 - t0) / (y1 - y0))
+    raise NoCrossing(f"response never reaches {level:.6f}")
 
 
 def synth_first_order(y0: float, y_inf: float, tau: float, dt: float, n: int,
@@ -170,23 +157,22 @@ def synth_first_order(y0: float, y_inf: float, tau: float, dt: float, n: int,
         raise InvalidParameters(
             f"need tau > 0, dt > 0, n >= 3, noise_sigma >= 0;"
             f" got tau={tau}, dt={dt}, n={n}, noise_sigma={noise_sigma}")
-    t = np.arange(n) * dt
-    y = y_inf + (y0 - y_inf) * np.exp(-t / tau)
+    t = [k * dt for k in range(n)]
+    y = [y_inf + (y0 - y_inf) * math.exp(-tk / tau) for tk in t]
     if noise_sigma > 0:
-        y = y + np.random.default_rng(seed).normal(0.0, noise_sigma, size=n)
-    return StepResponse(samples=tuple(zip(t.tolist(), y.tolist())), y0=y0, y_inf=y_inf)
+        rng = random.Random(seed)
+        y = [yk + rng.gauss(0.0, noise_sigma) for yk in y]
+    return StepResponse(samples=tuple(zip(t, y)), y0=y0, y_inf=y_inf)
 
 
 def step_response_from_series(points: Sequence[tuple[float, float]],
                               y0: Optional[float] = None,
-                              y_inf: Optional[float] = None,
-                              window: int = DEFAULT_STEADY_WINDOW,
-                              epsilon: float = DEFAULT_STEADY_EPSILON) -> StepResponse:
+                              y_inf: Optional[float] = None) -> StepResponse:
     """Build a StepResponse from measured (t, y) points.
 
     Unless given, y0 is the first sample and y_inf the mean over the
-    detected steady-state tail (falling back to the last sample when no
-    steady window exists).
+    steady-state tail found with the default window and epsilon (falling
+    back to the last sample when no steady window exists).
     """
     points = [tuple(p) for p in points]
     if len(points) < 3:
@@ -196,10 +182,10 @@ def step_response_from_series(points: Sequence[tuple[float, float]],
         y0 = ys[0]
     if y_inf is None:
         try:
-            start = detect_steady_state(ys, window=window, epsilon=epsilon)
+            start = detect_steady_state(ys)
         except InsufficientData:
             start = None
-        y_inf = float(np.mean(ys[start:])) if start is not None else ys[-1]
+        y_inf = statistics.fmean(ys[start:]) if start is not None else ys[-1]
     return StepResponse(samples=tuple(points), y0=y0, y_inf=y_inf)
 
 

@@ -7,7 +7,7 @@ thermocouple analyses and generate synthetic .lvm files.
 
 Success output is line oriented and stable; record ids are printed alone
 on the final line.  Domain errors map to one ``ERROR <Name>: <detail>``
-line on stderr and exit code 1; usage errors exit with 2.
+line on stderr and exit code 1; usage errors and non-UTF-8 arguments exit 2.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from datetime import datetime
 from . import analysis, export as export_mod, store as store_mod
 from .errors import IndexOutOfRange, LvmforgeError
 from .ingest import ParsingProcedure, Registry, LVM_HANDLER_ID, import_file
-from .lvm import HighPrecisionTime, serialize_lvm
+from .lvm import HighPrecisionTime, read_text, serialize_lvm
 from .model import (
     ConceptCategory,
     builtin_sytherm,
@@ -134,6 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    for arg in argv:
+        if read_text(arg) is None:
+            print(f"ERROR InvalidArgument: {arg!r} is not UTF-8 text", file=sys.stderr)
+            return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

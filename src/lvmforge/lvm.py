@@ -162,6 +162,7 @@ class LvmDocument:
 # Readers return None for text outside the grammar.
 
 ANY_DECIMAL = ".,"
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _BOOL_WORDS = {"yes": True, "true": True, "no": False, "false": False}
 
 
@@ -213,6 +214,12 @@ def read_time(text: str, ds: str = ".") -> Optional[HighPrecisionTime]:
         return None
     return HighPrecisionTime(int(m.group(1)), int(m.group(2)), int(m.group(3)),
                              m.group(4) or "")
+
+
+def read_text(text: str) -> Optional[str]:
+    """Text that UTF-8 can encode: no lone surrogate, which is what an
+    undecodable byte in a command-line argument or a file name becomes."""
+    return None if _SURROGATE.search(text) else text
 
 
 # printf-style spec of the fixed-6 rendering, for callers that write many

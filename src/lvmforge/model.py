@@ -35,6 +35,7 @@ from .lvm import (
     read_date,
     read_int,
     read_real,
+    read_text,
     read_time,
 )
 
@@ -203,8 +204,8 @@ def validate_value(definition: ParameterDefinition, raw: str) -> TypedScalar:
 
     Reals accept either "." or "," as decimal separator, booleans accept
     the .lvm Yes/No convention alongside true/false, dates are YYYY/MM/DD
-    and times HH:MM:SS with an optional fractional part.  The grammars
-    are those of :mod:`lvmforge.lvm`.
+    and times HH:MM:SS with an optional fractional part, strings any text
+    UTF-8 can encode.  The grammars are those of :mod:`lvmforge.lvm`.
     """
     vt = definition.value_type
     if vt is ValueType.INTEGER:
@@ -224,7 +225,7 @@ def validate_value(definition: ParameterDefinition, raw: str) -> TypedScalar:
         value = raw if raw in definition.enum_domain else None
         expected = f"expected one of {', '.join(definition.enum_domain)}"
     else:  # String
-        return raw
+        value, expected = read_text(raw), "expected UTF-8 text"
     if value is None:
         raise TypeMismatch(definition.name, raw, expected)
     return value

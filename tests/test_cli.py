@@ -1,4 +1,10 @@
+import os
+import pathlib
+import shutil
 import sqlite3
+import subprocess
+import sys
+import textwrap
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -192,3 +198,57 @@ def test_storage_failure_is_one_error_line(cli_with_sytherm, tmp_path):
         assert len(lines) == 1, argv
         assert lines[0].startswith("ERROR StorageUnavailable:"), argv
         assert str(store_path) in lines[0], argv
+
+
+def test_non_utf8_argument_is_one_error_line(cli_with_sytherm, tmp_path):
+    # a byte that is not UTF-8 (cp1252 "é") arrives in argv as a lone surrogate
+    import_annex(cli_with_sytherm)
+    lone = os.fsdecode(b"caf\xe9")
+    shutil.copy(ANNEX1_PATH, tmp_path / f"{lone}.lvm")
+    for argv in (("edit", "1", "Operator", lone), ("list", "--operator", lone),
+                 ("proc", "add", os.fsdecode(b"P\xe9")),
+                 ("model", "show", os.fsdecode(b"S\xe9")),
+                 ("import", str(tmp_path / f"{lone}.lvm"), "--equipment", "SYTHERM")):
+        captured = cli_with_sytherm(*argv, expect=2)
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, argv
+        assert lines[0].startswith("ERROR InvalidArgument:"), argv
+        assert "Traceback" not in captured.err + captured.out, argv
+    listing = cli_with_sytherm("list").out.splitlines()
+    assert len(listing) == 1 and listing[0].endswith("\tProfesor")
+
+
+_WITHOUT_NUMPY = textwrap.dedent("""
+    import os, sys
+    sys.modules["numpy"] = None  # any numpy import now raises ImportError
+    from lvmforge import cli
+
+    work = sys.argv[1]
+    gen, out = os.path.join(work, "gen.lvm"), os.path.join(work, "gen.csv")
+    store = ["--store", os.path.join(work, "store.db")]
+    for argv in (["init"], ["model", "sytherm"], ["proc", "add", "LVM_PARSING"],
+                 ["bind", "SYTHERM", "LVM_PARSING", "lvm"],
+                 ["gen", "--tau", "5", "--y0", "20", "--yinf", "100", "--dt", "1",
+                  "--n", "40", "--noise", "0.02", "--channels", "3", "--out", gen],
+                 ["import", gen, "--equipment", "SYTHERM"],
+                 ["analyze", "tau", "1"],
+                 ["analyze", "nonlin", "1", "--refs", ",".join(["50"] * 40),
+                  "--tref30", "300"],
+                 ["export", "1", "--format", "csv", "--out", out]):
+        code = cli.run(store + argv)
+        assert code == 0, (argv, code)
+    print(os.path.getsize(out))
+""")
+
+
+def test_runtime_needs_no_numpy(tmp_path):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout.splitlines()[-1]) > 0
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, lvmforge.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert loaded.stdout.strip() == "False", loaded.stderr

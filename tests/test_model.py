@@ -159,6 +159,24 @@ def test_validate_value_rejects(vtype, raw):
         validate_value(definition, raw)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.characters(exclude_categories=()), max_size=8))
+@example("café")
+@example("caf\udce9")  # what the cp1252 byte 0xE9 in argv or a file name becomes
+@example("\ud83d\ude00")  # a surrogate pair is two lone surrogates in a str
+def test_validate_string_accepts_exactly_utf8_text(text):
+    # sqlite and the exporters cannot encode a lone surrogate
+    definition = ParameterDefinition("Operator", ConceptCategory.MEASUREMENT_INFORMATION,
+                                     ValueType.STRING)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        with pytest.raises(TypeMismatch):
+            validate_value(definition, text)
+    else:
+        assert validate_value(definition, text) == text
+
+
 def test_validate_enumeration():
     definition = ParameterDefinition("Separator", ConceptCategory.DATA,
                                      ValueType.ENUMERATION, enum_domain=("Tab", "Comma"))
