@@ -13,6 +13,7 @@ line on stderr and exit code 1; usage errors and non-UTF-8 arguments exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -35,7 +36,10 @@ log = logging.getLogger("lvmforge")
 STORE_ENV_VAR = "LVMFORGE_STORE"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and building the tree costs milliseconds."""
     parser = argparse.ArgumentParser(
         prog="lvmforge",
         description="Import, store, analyze and export LabVIEW .lvm measurements.")

@@ -542,8 +542,9 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
     if name:
         raise ChannelCountMismatch(channels, len(getattr(segment, name)), name)
 
+    segment.rows.extend(_fast_rows(cursor, sep, ds, 1 + channels) or ())
     # data rows run until EOF or until a non-numeric first field, which
-    # marks the start of the next segment's header.  Hot loop: each field is
+    # marks the start of the next segment's header.  Each field is
     # matched once against the shared real pattern, then converted in place;
     # one check per row applies read_real's rule that overflow is malformed.
     match_real = _REAL_PATTERNS[ds].match
@@ -580,6 +581,59 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
             _reject_row(fields, ds, line_no)
         segment.rows.append(DataRow(x=x, values=tuple(values), comment=comment))
     return segment
+
+
+# every byte a data block may hold for _fast_rows, besides sep and ds
+_FAST_ALPHABET = b"0123456789eE+-\n"
+
+
+def _fast_rows(cursor: _Lines, sep: str, ds: str, width: int) -> Optional[list[DataRow]]:
+    """The data rows from the cursor on, converted in one pass, or None
+    when the pass does not apply: sep is ds, or the rest of the input holds
+    a character other than a digit, ``eE+-``, ds, sep and a line break.
+
+    On that alphabet float() accepts exactly read_real's grammar once ds
+    reads as ".": no whitespace, ``_``, ``inf``/``nan`` or non-ASCII digit
+    can occur, so a row float() takes is a row the row loop takes, with the
+    same values.  The pass stops before the first line it cannot take (an
+    empty x, a field count other than width, text float() rejects, a
+    non-finite value) and leaves the cursor there, so the row loop goes on
+    from that line with its exact errors.  A letter anywhere after the
+    cursor (a comment, the next segment's header) leaves it all to the
+    row loop.
+    """
+    if sep == ds:
+        return None
+    start = cursor.pos
+    block = "\n".join(cursor.lines[start:])
+    if not block.isascii() or block.encode().translate(
+            None, _FAST_ALPHABET + (sep + ds).encode()):
+        return None
+    if ds != ".":
+        block = block.replace(ds, ".")
+    rows = []
+    for offset, line in enumerate(block.split("\n")):
+        if not line:
+            continue
+        fields = line.split(sep)
+        if len(fields) != width or not fields[0]:
+            break
+        try:
+            row = tuple(map(float, fields))
+            finite = math.isfinite(sum(row))
+        except ValueError:  # an empty sample, or text outside the grammar
+            try:
+                row = tuple([float(f) if f else None for f in fields])
+            except ValueError:
+                break
+            finite = math.isfinite(sum(v for v in row if v is not None))
+        if not finite:
+            break
+        rows.append(DataRow(row[0], row[1:]))
+    else:
+        offset = len(cursor.lines) - start
+    cursor.pos = start + offset
+    return rows
 
 
 # --- serialization ----------------------------------------------------------

@@ -7,16 +7,20 @@ The schema follows the t_<code>_<name> / <code>_number naming convention:
     t_efe_equipmentfileextension  (equipment, procedure, extension) link table;
                                   efe_number holds the PROCEDURE_EXT binding name
     t_prm_parameters            typed parameter definitions per equipment
-    t_msr_measurements          one row per imported measurement
+    t_msr_measurements          one row per imported measurement; msr_series
+                                lists its series' prm_numbers in record order
     t_val_values                canonical text rendering of each parameter value
-    t_ser_series                (index, x, y) points per channel series
+    t_ser_series                one (index, x, y) row per series point, clustered
+                                by (msr_number, prm_number, ser_index)
 
 Values are stored in their canonical text form (see
 :func:`lvmforge.model.render_canonical`), which validate_value reads
 back as the same value, so put followed by get reconstructs an equal
 record.  All writes are transactional; the engine is SQLite (single
-writer, many readers).  Every SQLite failure, at open time or later,
-surfaces as a :class:`~lvmforge.errors.StorageError` (see _sqlite_errors).
+writer, many readers).  This is schema version 2; init_schema migrates a
+version-1 store (t_ser_series as a rowid table, no msr_series) on open.
+Every SQLite failure, at open time or later, surfaces as a
+:class:`~lvmforge.errors.StorageError` (see _sqlite_errors).
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .model import (
     render_canonical,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE t_eqp_equipments (
@@ -95,7 +99,8 @@ CREATE TABLE t_msr_measurements (
     msr_imported_at TEXT NOT NULL,
     msr_sourcefile  TEXT NOT NULL DEFAULT '',
     msr_warnings    TEXT NOT NULL DEFAULT '[]',
-    msr_aux         TEXT NOT NULL DEFAULT '{}'
+    msr_aux         TEXT NOT NULL DEFAULT '{}',
+    msr_series      TEXT NOT NULL DEFAULT '[]'
 );
 CREATE TABLE t_val_values (
     val_number INTEGER PRIMARY KEY,
@@ -104,15 +109,19 @@ CREATE TABLE t_val_values (
     val_text   TEXT NOT NULL,
     UNIQUE (msr_number, prm_number)
 );
-CREATE TABLE t_ser_series (
-    ser_number INTEGER PRIMARY KEY,
+"""
+
+# one B-tree, written once per point; the key is the read order of
+# get_measurement and keeps the v1 rule that a series has each index once
+_SERIES_TABLE = """
+CREATE TABLE {} (
     msr_number INTEGER NOT NULL REFERENCES t_msr_measurements(msr_number),
     prm_number INTEGER NOT NULL REFERENCES t_prm_parameters(prm_number),
     ser_index  INTEGER NOT NULL,
     ser_x      REAL NOT NULL,
     ser_y      REAL NOT NULL,
-    UNIQUE (msr_number, prm_number, ser_index)
-);
+    PRIMARY KEY (msr_number, prm_number, ser_index)
+) WITHOUT ROWID;
 """
 
 _ENUM_TYPE_RE = re.compile(r"^Enumeration\((.*)\)$")
@@ -143,8 +152,9 @@ class RecordSummary:
 def init_schema(storage_path) -> "Store":
     """Open (creating if necessary) the store at the given path.
 
-    Idempotent: re-initializing an existing valid store is a no-op.  A store
-    written with a different schema version raises SchemaVersionMismatch.
+    Idempotent: re-initializing an existing valid store is a no-op.  A
+    version-1 store is migrated in one transaction (see _migrate_v1); a
+    store written with any other schema version raises SchemaVersionMismatch.
     """
     with _sqlite_errors(storage_path):
         conn = sqlite3.connect(str(storage_path))
@@ -158,8 +168,10 @@ def init_schema(storage_path) -> "Store":
                     raise SchemaVersionMismatch(f"{storage_path}: existing database"
                                                 " carries no lvmforge version marker")
                 with conn:
-                    conn.executescript(_SCHEMA)
+                    conn.executescript(_SCHEMA + _SERIES_TABLE.format("t_ser_series"))
                     conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+            elif version == 1:
+                _migrate_v1(conn)
             elif version != SCHEMA_VERSION:
                 raise SchemaVersionMismatch(
                     f"{storage_path}: schema version {version}, expected {SCHEMA_VERSION}")
@@ -169,17 +181,49 @@ def init_schema(storage_path) -> "Store":
     return Store(conn, storage_path)
 
 
+def _migrate_v1(conn: sqlite3.Connection) -> None:
+    """Rewrite a version-1 store as version 2 in one transaction; any
+    failure rolls it back and leaves the store at version 1.
+
+    Version 1 kept the points in a rowid table (written once to the table
+    and once to its UNIQUE index) and no msr_series: a record's series
+    came back in insertion order, which is record order, so msr_series
+    takes each measurement's series ordered by their first ser_number.
+    """
+    with conn:
+        conn.execute("BEGIN")
+        conn.execute("ALTER TABLE t_msr_measurements"
+                     " ADD COLUMN msr_series TEXT NOT NULL DEFAULT '[]'")
+        order: dict[int, list[int]] = {}
+        for msr_number, prm_number in conn.execute(
+                "SELECT msr_number, prm_number FROM t_ser_series"
+                " GROUP BY msr_number, prm_number ORDER BY msr_number, min(ser_number)"):
+            order.setdefault(msr_number, []).append(prm_number)
+        conn.executemany(
+            "UPDATE t_msr_measurements SET msr_series = ? WHERE msr_number = ?",
+            [(json.dumps(prm_numbers), msr) for msr, prm_numbers in order.items()])
+        conn.execute(_SERIES_TABLE.format("t_ser_series_v2"))
+        conn.execute(
+            "INSERT INTO t_ser_series_v2 SELECT msr_number, prm_number, ser_index, ser_x,"
+            " ser_y FROM t_ser_series ORDER BY msr_number, prm_number, ser_index")
+        conn.execute("DROP TABLE t_ser_series")
+        conn.execute("ALTER TABLE t_ser_series_v2 RENAME TO t_ser_series")
+        conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+
+
 @contextmanager
 def _sqlite_errors(storage_path):
     """Map every sqlite3 failure in the block onto the StorageError
     hierarchy: a violated constraint becomes ForeignKeyViolation or
-    DuplicateKey, any other failure StorageUnavailable naming the store."""
+    DuplicateKey, any other failure StorageUnavailable naming the store.
+    Text that UTF-8 cannot encode (a lone surrogate, as an undecodable
+    byte in a file name becomes) fails the same way when it is bound."""
     try:
         yield
     except sqlite3.IntegrityError as exc:
         kind = ForeignKeyViolation if "FOREIGN KEY" in str(exc).upper() else DuplicateKey
         raise kind(str(exc)) from None
-    except sqlite3.Error as exc:
+    except (sqlite3.Error, UnicodeEncodeError) as exc:
         raise StorageUnavailable(f"{storage_path}: {exc}") from None
 
 
@@ -318,36 +362,44 @@ class Store:
             if eqp is None:
                 raise UnknownEquipment(record.equipment_name)
             params = self._parameter_ids(eqp)
-            cur = conn.execute(
+
+            def prm_number(name: str) -> int:
+                if name not in params:
+                    raise UnknownParameter(f"{record.equipment_name}: {name}")
+                return params[name][0]
+
+            values = [(prm_number(name), render_canonical(typed))
+                      for per_category in record.values.values()
+                      for name, typed in per_category.items()]
+            series: list[int] = []
+            for s in record.series:
+                number = prm_number(s.name)
+                if number in series:
+                    raise DuplicateKey(f"{record.equipment_name}: two series {s.name!r}")
+                series.append(number)
+            msr = conn.execute(
                 "INSERT INTO t_msr_measurements (eqp_number, msr_imported_at,"
-                " msr_sourcefile, msr_warnings, msr_aux) VALUES (?,?,?,?,?)",
+                " msr_sourcefile, msr_warnings, msr_aux, msr_series) VALUES (?,?,?,?,?,?)",
                 (eqp, record.imported_at.isoformat(), record.source_file,
-                 json.dumps(record.warnings), json.dumps(record.aux)))
-            msr = cur.lastrowid
-            for per_category in record.values.values():
-                for name, typed in per_category.items():
-                    if name not in params:
-                        raise UnknownParameter(f"{record.equipment_name}: {name}")
-                    conn.execute(
-                        "INSERT INTO t_val_values (msr_number, prm_number, val_text)"
-                        " VALUES (?,?,?)",
-                        (msr, params[name][0], render_canonical(typed)))
-            for series in record.series:
-                if series.name not in params:
-                    raise UnknownParameter(f"{record.equipment_name}: {series.name}")
-                prm = params[series.name][0]
-                for index, (x, y) in enumerate(series.points):
-                    conn.execute(
-                        "INSERT INTO t_ser_series (msr_number, prm_number,"
-                        " ser_index, ser_x, ser_y) VALUES (?,?,?,?,?)",
-                        (msr, prm, index, x, y))
+                 json.dumps(record.warnings), json.dumps(record.aux),
+                 json.dumps(series))).lastrowid
+            conn.executemany(
+                "INSERT INTO t_val_values (msr_number, prm_number, val_text) VALUES (?,?,?)",
+                [(msr, number, text) for number, text in values])
+            # a generator: the rows of a long record are never all in memory
+            conn.executemany(
+                "INSERT INTO t_ser_series (msr_number, prm_number, ser_index, ser_x, ser_y)"
+                " VALUES (?,?,?,?,?)",
+                ((msr, number, index, x, y)
+                 for number, s in zip(series, record.series)
+                 for index, (x, y) in enumerate(s.points)))
             return msr
 
     def get_measurement(self, msr_number: int) -> MeasurementRecord:
         with _sqlite_errors(self._path):
             row = self._conn.execute(
                 "SELECT m.eqp_number, q.eqp_name, m.msr_imported_at, m.msr_sourcefile,"
-                " m.msr_warnings, m.msr_aux FROM t_msr_measurements m"
+                " m.msr_warnings, m.msr_aux, m.msr_series FROM t_msr_measurements m"
                 " JOIN t_eqp_equipments q ON q.eqp_number = m.eqp_number"
                 " WHERE m.msr_number = ?", (msr_number,)).fetchone()
             if row is None:
@@ -368,15 +420,17 @@ class Store:
                 definition = by_id[prm_number]
                 record.set_value(definition.category, definition.name,
                                  make_typed(definition, text))
-            # grouped straight off the cursor, each group a tuple built from a
-            # list: a fetchall() first or a generator read measurably slower
-            for prm_number, rows in groupby(self._conn.execute(
-                    "SELECT prm_number, ser_x, ser_y FROM t_ser_series"
-                    " WHERE msr_number = ? ORDER BY ser_number", (msr_number,)),
-                    itemgetter(0)):
+            # read in primary-key order (no sort), grouped straight off the
+            # cursor, each group a tuple built from a list: a fetchall() first
+            # or a generator read measurably slower
+            points = {prm_number: tuple([(x, y) for _, x, y in rows])
+                      for prm_number, rows in groupby(self._conn.execute(
+                          "SELECT prm_number, ser_x, ser_y FROM t_ser_series"
+                          " WHERE msr_number = ? ORDER BY prm_number, ser_index",
+                          (msr_number,)), itemgetter(0))}
+            for prm_number in json.loads(row[6]):
                 d = by_id[prm_number]
-                record.series.append(ChannelSeries(d.name, d.unit,
-                                                   tuple([(x, y) for _, x, y in rows])))
+                record.series.append(ChannelSeries(d.name, d.unit, points.get(prm_number, ())))
         return record
 
     def query(self, equipment: Optional[str] = None, operator: Optional[str] = None,

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from lvmforge import render_model_definition, builtin_sytherm
-from lvmforge.cli import run
+from lvmforge.cli import build_parser, run
 
 from conftest import ANNEX1_PATH
 
@@ -171,6 +171,19 @@ def test_analyze_nonlin_values(cli, tmp_path):
 def test_usage_error_exit_code(cli):
     assert run(["no-such-command"]) == 2
     assert run([]) == 2
+
+
+def test_parser_is_built_once_and_a_usage_error_leaves_no_trace(cli_with_sytherm):
+    cli = cli_with_sytherm
+    record_id = import_annex(cli)
+    assert build_parser() is build_parser()
+    commands = (("show", record_id), ("list",))
+    first = [(c.out, c.err) for c in (cli(*argv) for argv in commands)]
+    for argv in (("list", "--operator", "Nobody", "--bogus"), ("show", "not-a-number"),
+                 ("analyze", "tau", record_id, "--channel", "x"), ("no-such-command",)):
+        assert cli(*argv, expect=2).err.startswith("usage: lvmforge"), argv
+    for _ in range(2):
+        assert [(c.out, c.err) for c in (cli(*argv) for argv in commands)] == first
 
 
 def test_missing_store_path(tmp_path, monkeypatch, capsys):

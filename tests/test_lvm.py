@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lvmforge import lvm
 from lvmforge import (
     DataRow,
     HighPrecisionTime,
@@ -318,3 +319,102 @@ def test_mutated_annex1_parses_or_raises_lvmforge_error(annex1_bytes, data):
         parse_lvm(mutated)
     except LvmforgeError:
         pass
+
+
+# -- the one-pass data block ------------------------------------------------------
+
+# the parser also reads the ","/"," layout the serializer refuses
+_LAYOUTS = (("\t", ",", "Tab"), (",", ".", "Comma"), (",", ",", "Comma"))
+_NUMBERS = st.one_of(
+    st.floats(-1e9, 1e9, allow_nan=False).map(lambda v: "%.6f" % v),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "-0", "+7", ".5", "5.", "1e3", "2E-2", "-0.0e+1"]))
+
+
+def _mutate(kind, lines, at, choice, sep, ds, channels):
+    """Apply one mutation at line index at (an edit if the line exists,
+    else an insertion before it)."""
+    fields = lines[at].split(sep) if at < len(lines) else None
+    edits = {
+        "empty sample": lambda f: f[:-1] + [""],
+        "empty x": lambda f: [""] + f[1:],
+        "letter": lambda f: f[:-1] + [f[-1] + "x"],
+        "overflow": lambda f: f[:-1] + ["1e999"],
+        "other decimal": lambda f: f[:-1] + ["1.5" if ds == "," else "1,5"],
+        "extra field": lambda f: f + ["1"],
+        "missing field": lambda f: f[:-1],
+        "comment": lambda f: f + ["note"],
+        "empty comment": lambda f: f + [""],
+        "carriage return": lambda f: f[:-1] + [f[-1] + "\r"],
+        # text float() reads but the real grammar does not
+        "float-only text": lambda f: f[:-1] + [choice],
+    }
+    inserts = {
+        "blank line": "",
+        "whitespace line": sep * channels,
+        "space line": " ",
+        "second segment": "\n".join([f"Channels{sep}1", "***End_of_Header***",
+                                     f"X_Value{sep}Channel 0", f"1{sep}2"]),
+    }
+    if kind in edits and fields is not None:
+        lines[at] = sep.join(edits[kind](fields))
+    elif kind in inserts:
+        lines.insert(at, inserts[kind])
+
+
+_MUTATIONS = ("empty sample", "empty x", "letter", "overflow", "other decimal",
+              "extra field", "missing field", "comment", "empty comment",
+              "carriage return", "blank line", "whitespace line", "space line",
+              "second segment", "float-only text")
+_FLOAT_ONLY = ("inf", "-Infinity", "nan", "1_0", " 1.5", "2 ", "\u0661", "\uff17")
+
+
+def _outcome(text):
+    try:
+        return parse_lvm(text)
+    except LvmforgeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_fast_rows_agree_with_the_row_loop(data):
+    """Parsing with the one-pass data block and with the row loop alone
+    gives equal documents, or the same error class and message."""
+    sep, ds, name = data.draw(st.sampled_from(_LAYOUTS), label="layout")
+    channels = data.draw(st.integers(0, 3), label="channels")
+    comment_column = data.draw(st.booleans(), label="comment column")
+    rows = data.draw(st.lists(st.lists(_NUMBERS, min_size=1 + channels,
+                                       max_size=1 + channels), max_size=6), label="rows")
+    lines = [sep.join(f.replace(".", ds) for f in row) for row in rows]
+    for kind in data.draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3), label="mutations"):
+        _mutate(kind, lines, data.draw(st.integers(0, len(lines)), label=kind),
+                data.draw(st.sampled_from(_FLOAT_ONLY)), sep, ds, channels)
+    columns = ["X_Value", *(f"Channel {k}" for k in range(channels))]
+    text = "\n".join([
+        "LabVIEW Measurement", f"Separator{sep}{name}", f"Decimal_Separator{sep}{ds}",
+        "***End_of_Header***", f"Channels{sep}{channels}", "***End_of_Header***",
+        sep.join(columns + ["Comment"] * comment_column), *lines]) + "\n"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lvm, "_fast_rows", lambda *args: None)
+        row_loop = _outcome(text)
+    assert _outcome(text) == row_loop
+
+
+def test_fast_rows_take_a_clean_block_whole(annex1_bytes, monkeypatch):
+    fast_rows, taken = lvm._fast_rows, []
+
+    def spy(*args):
+        rows = fast_rows(*args)
+        taken.append(None if rows is None else len(rows))
+        return rows
+
+    monkeypatch.setattr(lvm, "_fast_rows", spy)
+    assert len(parse_lvm(annex1_bytes).segments[0].rows) == 16
+    # the Annex-1 block has a Comment column but no comment
+    assert taken == [16]
+    taken.clear()
+    with pytest.raises(MalformedNumber) as info:
+        parse_lvm(MINIMAL + "1.5\t20.0\n\t\n2.5\t\n3\t1e999\n")
+    assert (info.value.line, info.value.column) == (11, 2)
+    assert taken == [1]  # the row loop went on from the tab-only line 9

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import re
 import sqlite3
@@ -9,12 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lvmforge import (
+    ChannelSeries,
     ConceptCategory,
     MeasurementRecord,
     ParsingBinding,
+    Registry,
     TypedValue,
     ValueType,
     builtin_sytherm,
+    import_file,
     init_schema,
     map_lvm_to_record,
     parse_lvm,
@@ -25,11 +29,13 @@ from lvmforge.errors import (
     ForeignKeyViolation,
     NotFound,
     SchemaVersionMismatch,
+    StorageError,
     StorageUnavailable,
     TypeMismatch,
     UnknownEquipment,
     UnknownParameter,
 )
+from lvmforge.store import Store
 
 EXPECTED_TABLES = {
     "t_eqp_equipments", "t_psf_parsingfunction", "t_efe_equipmentfileextension",
@@ -369,3 +375,220 @@ def test_no_sqlite_error_escapes(tmp_path, sytherm3, annex_record, break_store, 
         # every failed write rolled back completely
         assert {t: count(store, t) for t in table_names(store)} == \
             {t: n for t, n in before.items() if t in table_names(store)}
+
+
+# -- schema version 2 ----------------------------------------------------------
+
+# the schema text of version 1, as init_schema wrote it
+_V1_SCHEMA = """
+CREATE TABLE t_eqp_equipments (
+    eqp_number      INTEGER PRIMARY KEY,
+    eqp_name        TEXT NOT NULL UNIQUE,
+    eqp_producer    TEXT NOT NULL DEFAULT '',
+    eqp_description TEXT NOT NULL DEFAULT '',
+    eqp_webpage     TEXT,
+    eqp_picture     TEXT,
+    eqp_visualmodel TEXT,
+    eqp_extensions  TEXT NOT NULL DEFAULT '',
+    eqp_ignoredkeys TEXT NOT NULL DEFAULT ''
+);
+CREATE TABLE t_psf_parsingfunction (
+    psf_number INTEGER PRIMARY KEY,
+    psf_name   TEXT NOT NULL UNIQUE
+);
+CREATE TABLE t_efe_equipmentfileextension (
+    efe_number    TEXT NOT NULL,
+    eqp_number    INTEGER NOT NULL REFERENCES t_eqp_equipments(eqp_number),
+    psf_number    INTEGER NOT NULL REFERENCES t_psf_parsingfunction(psf_number),
+    efe_extension TEXT NOT NULL,
+    UNIQUE (eqp_number, psf_number, efe_extension),
+    UNIQUE (eqp_number, efe_extension)
+);
+CREATE TABLE t_prm_parameters (
+    prm_number   INTEGER PRIMARY KEY,
+    eqp_number   INTEGER NOT NULL REFERENCES t_eqp_equipments(eqp_number),
+    prm_name     TEXT NOT NULL,
+    prm_category TEXT NOT NULL,
+    prm_type     TEXT NOT NULL,
+    prm_unit     TEXT,
+    prm_source   TEXT NOT NULL,
+    UNIQUE (eqp_number, prm_name)
+);
+CREATE TABLE t_msr_measurements (
+    msr_number      INTEGER PRIMARY KEY,
+    eqp_number      INTEGER NOT NULL REFERENCES t_eqp_equipments(eqp_number),
+    msr_imported_at TEXT NOT NULL,
+    msr_sourcefile  TEXT NOT NULL DEFAULT '',
+    msr_warnings    TEXT NOT NULL DEFAULT '[]',
+    msr_aux         TEXT NOT NULL DEFAULT '{}'
+);
+CREATE TABLE t_val_values (
+    val_number INTEGER PRIMARY KEY,
+    msr_number INTEGER NOT NULL REFERENCES t_msr_measurements(msr_number),
+    prm_number INTEGER NOT NULL REFERENCES t_prm_parameters(prm_number),
+    val_text   TEXT NOT NULL,
+    UNIQUE (msr_number, prm_number)
+);
+CREATE TABLE t_ser_series (
+    ser_number INTEGER PRIMARY KEY,
+    msr_number INTEGER NOT NULL REFERENCES t_msr_measurements(msr_number),
+    prm_number INTEGER NOT NULL REFERENCES t_prm_parameters(prm_number),
+    ser_index  INTEGER NOT NULL,
+    ser_x      REAL NOT NULL,
+    ser_y      REAL NOT NULL,
+    UNIQUE (msr_number, prm_number, ser_index)
+);
+"""
+
+
+def _v1_store(path, model, records):
+    """A version-1 store holding model and records, written with the
+    statements of the version-1 put_measurement."""
+    conn = sqlite3.connect(path)
+    conn.executescript(_V1_SCHEMA)
+    conn.execute("PRAGMA user_version = 1")
+    Store(conn, path).put_equipment(model)  # these tables did not change
+    params = {name: number for number, name in conn.execute(
+        "SELECT prm_number, prm_name FROM t_prm_parameters")}
+    with conn:
+        for record in records:
+            msr = conn.execute(
+                "INSERT INTO t_msr_measurements (eqp_number, msr_imported_at,"
+                " msr_sourcefile, msr_warnings, msr_aux) VALUES (1,?,?,?,?)",
+                (record.imported_at.isoformat(), record.source_file,
+                 json.dumps(record.warnings), json.dumps(record.aux))).lastrowid
+            for per_category in record.values.values():
+                for name, typed in per_category.items():
+                    conn.execute(
+                        "INSERT INTO t_val_values (msr_number, prm_number, val_text)"
+                        " VALUES (?,?,?)", (msr, params[name], render_canonical(typed)))
+            for series in record.series:
+                for index, (x, y) in enumerate(series.points):
+                    conn.execute(
+                        "INSERT INTO t_ser_series (msr_number, prm_number,"
+                        " ser_index, ser_x, ser_y) VALUES (?,?,?,?,?)",
+                        (msr, params[series.name], index, x, y))
+    conn.close()
+
+
+def _dump(path):
+    """Schema text, user_version and every row of the store at path."""
+    conn = sqlite3.connect(path)
+    try:
+        tables = [r[0] for r in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name")]
+        return (conn.execute("PRAGMA user_version").fetchone()[0],
+                conn.execute("SELECT type, name, sql FROM sqlite_master ORDER BY name").fetchall(),
+                {t: conn.execute(f"SELECT * FROM {t}").fetchall() for t in tables})
+    finally:
+        conn.close()
+
+
+def test_v1_store_migrates_on_open(tmp_path, sytherm3, annex_record):
+    path = tmp_path / "v1.db"
+    reversed_record = dataclasses.replace(annex_record, source_file="reversed.lvm",
+                                          series=annex_record.series[::-1])
+    _v1_store(path, sytherm3, [annex_record, reversed_record])
+    with init_schema(path) as store:
+        assert store._conn.execute("PRAGMA user_version").fetchone()[0] == 2
+        assert store._conn.execute("PRAGMA foreign_key_check").fetchall() == []
+        assert store._conn.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
+        assert table_names(store) == EXPECTED_TABLES
+        assert count(store, "t_ser_series") == 2 * 48
+        for msr, record in ((1, annex_record), (2, reversed_record)):
+            assert dataclasses.replace(store.get_measurement(msr), record_id=None) == record
+        store.put_measurement(annex_record)  # and it takes new records
+    migrated = _dump(path)
+    init_schema(path).close()
+    assert _dump(path) == migrated
+
+
+def test_failed_migration_leaves_the_store_at_v1(tmp_path, sytherm3, annex_record):
+    path = tmp_path / "v1.db"
+    _v1_store(path, sytherm3, [annex_record])
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE t_ser_series_v2 (x)")  # the migration's CREATE fails
+    conn.close()
+    before = _dump(path)
+    with pytest.raises(StorageUnavailable, match="t_ser_series_v2"):
+        init_schema(path)
+    assert _dump(path) == before  # column, rows and user_version all rolled back
+
+
+_REALS = st.floats(allow_nan=False, allow_infinity=False)
+_POINTS = st.lists(st.tuples(_REALS, _REALS), max_size=6).flatmap(
+    # repeated x values: some points reuse an earlier point's x
+    lambda points: st.lists(st.sampled_from(points), max_size=3).map(
+        lambda extra: tuple(points + [(x, -y) for x, y in extra])) if points
+    else st.just(()))
+
+
+@st.composite
+def _hand_built_records(draw):
+    """A record of a SYTHERM model, with any of its parameters as series in
+    any order, each series possibly empty."""
+    model = builtin_sytherm(draw(st.integers(1, 4)))
+    chosen = draw(st.permutations(model.parameters).flatmap(
+        lambda params: st.integers(0, len(params)).map(lambda n: params[:n])))
+    record = MeasurementRecord(
+        equipment_name=model.name, imported_at=datetime(2024, 3, 1, 10, 0, 0),
+        source_file="hand.lvm",
+        series=[ChannelSeries(p.name, p.unit, draw(_POINTS, label=p.name)) for p in chosen])
+    return model, record
+
+
+@settings(max_examples=80, deadline=None)
+@given(built=_hand_built_records(), data=st.data())
+@example(built=(builtin_sytherm(2), MeasurementRecord(
+    equipment_name="SYTHERM", imported_at=datetime(2024, 1, 1), source_file="",
+    series=[ChannelSeries("Channel_1", "CelsiusDegree",
+                          ((5e-324, 1.7976931348623157e308), (5e-324, -2.2250738585072014e-308))),
+            ChannelSeries("Channel_0", "CelsiusDegree", ())])), data=None)
+def test_put_get_identity_for_hand_built_records(built, data):
+    model, record = built
+    with init_schema(":memory:") as store:
+        store.put_equipment(model)
+        got = store.get_measurement(store.put_measurement(record))
+        assert dataclasses.replace(got, record_id=None) == record
+        if record.series and data is not None:
+            twice = dataclasses.replace(record, series=record.series + [ChannelSeries(
+                record.series[0].name, record.series[0].unit,
+                data.draw(_POINTS, label="second series of one name"))])
+            before = {t: count(store, t) for t in EXPECTED_TABLES}
+            with pytest.raises(DuplicateKey):
+                store.put_measurement(twice)
+            assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+
+
+def test_series_reads_and_delete_sort_nothing(store, sytherm3, annex_record):
+    """The series read of get_measurement and the series DELETE follow the
+    primary key: no temporary B-tree sorts their rows."""
+    store.put_equipment(sytherm3)
+    msr = store.put_measurement(annex_record)
+    sent = []
+    store._conn.set_trace_callback(sent.append)
+    store.get_measurement(msr)
+    store.delete_measurement(msr)
+    store._conn.set_trace_callback(None)
+    series_sql = [sql for sql in sent if "t_ser_series" in sql]
+    assert [sql.split()[0] for sql in series_sql] == ["SELECT", "DELETE"]
+    for sql in series_sql:
+        plan = " | ".join(r[3] for r in store._conn.execute("EXPLAIN QUERY PLAN " + sql))
+        assert "TEMP B-TREE" not in plan and "PRIMARY KEY" in plan, (sql, plan)
+
+
+def test_lone_surrogate_text_is_a_storage_error(tmp_path, store, sytherm3, annex1_bytes):
+    store.put_equipment(sytherm3)
+    store.put_procedure("LVM_PARSING")
+    store.put_binding(ParsingBinding("LVM_PARSING_LVM", "SYTHERM", "LVM_PARSING", "lvm"))
+    registry = Registry.from_store(store)
+    # an undecodable byte in a file name reads as a lone surrogate
+    source = tmp_path / "caf\udce9.lvm"
+    source.write_bytes(annex1_bytes)
+    before = {t: count(store, t) for t in EXPECTED_TABLES}
+    for call in (lambda: store.query(operator="caf\udce9"),
+                 lambda: store.get_equipment("S\udce9"),
+                 lambda: import_file(source, "SYTHERM", registry, store)):
+        with pytest.raises(StorageError):
+            call()
+    assert {t: count(store, t) for t in EXPECTED_TABLES} == before
