@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import logging
 import os
 import sys
 from datetime import datetime
@@ -31,8 +30,6 @@ from .model import (
     render_model_definition,
 )
 
-log = logging.getLogger("lvmforge")
-
 STORE_ENV_VAR = "LVMFORGE_STORE"
 
 
@@ -44,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lvmforge",
         description="Import, store, analyze and export LabVIEW .lvm measurements.")
     parser.add_argument("--store", help=f"store path (or set {STORE_ENV_VAR})")
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("init", help="create an empty store").set_defaults(func=_cmd_init)
@@ -148,8 +144,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
-                        stream=sys.stderr, format="%(message)s")
     try:
         return args.func(args)
     except SystemExit as exc:
@@ -174,9 +168,7 @@ def _store_path(args) -> str:
 
 
 def _open_store(args) -> store_mod.Store:
-    path = _store_path(args)
-    log.debug("opening store %s", path)
-    return store_mod.init_schema(path)
+    return store_mod.init_schema(_store_path(args))
 
 
 # -- command handlers -----------------------------------------------------

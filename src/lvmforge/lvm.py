@@ -12,6 +12,11 @@ than silently misread.  Unrecognized header keys are preserved verbatim
 (in order) so that parse -> serialize -> parse is the identity on the
 document level.
 
+Data rows are read by one loop, a row at a time, so parsing is linear in
+the input whatever the number of segments.  A row of plain numbers takes
+one ``float()`` per field; any other row takes the field-by-field grammar
+checks, which name the line and field of the first bad value.
+
 This module is the one owner of how a value is written as text and read
 back: the real, integer, boolean, date and time grammars (``read_*``), the
 renderers (``format_*``) and the file- and segment-header field lists.
@@ -42,17 +47,6 @@ from .errors import (
 MAGIC_LINE = "LabVIEW Measurement"
 HEADER_TERMINATOR = "***End_of_Header***"
 COMMENT_COLUMN = "Comment"
-
-# file-header keys handled explicitly; everything else goes to extra_keys
-_FILE_KEYS = (
-    "Writer_Version", "Reader_Version", "Separator", "Decimal_Separator",
-    "Multi_Headings", "X_Columns", "Time_Pref", "Operator", "Date", "Time",
-)
-# segment-header keys handled explicitly
-_SEGMENT_KEYS = (
-    "Notes", "Channels", "Samples", "Date", "Time",
-    "X_Dimension", "X0", "Delta_X",
-)
 
 
 class Separator(Enum):
@@ -304,6 +298,10 @@ def segment_header_fields(segment: LvmSegment,
 
 # --- parsing ---------------------------------------------------------------
 
+# every character a data row may hold for the one-float()-per-field
+# conversion, besides the separator and the decimal separator
+_FAST_ALPHABET = b"0123456789eE+-"
+
 _GRAMMAR_NAMES = {read_real: "a number under {!r}", read_int: "an integer",
                   read_date: "a YYYY/MM/DD date", read_time: "a HH:MM:SS time"}
 
@@ -542,17 +540,36 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
     if name:
         raise ChannelCountMismatch(channels, len(getattr(segment, name)), name)
 
-    segment.rows.extend(_fast_rows(cursor, sep, ds, 1 + channels) or ())
-    # data rows run until EOF or until a non-numeric first field, which
-    # marks the start of the next segment's header.  Each field is
-    # matched once against the shared real pattern, then converted in place;
-    # one check per row applies read_real's rule that overflow is malformed.
+    # Data rows run until EOF or until a non-numeric first field, which
+    # marks the start of the next segment's header.  A row of 1 + channels
+    # fields on the alphabet _FAST_ALPHABET + sep + ds (sep != ds) takes one
+    # float() per field: on that alphabet float() accepts exactly
+    # read_real's grammar once ds reads as ".", as no whitespace, "_",
+    # "inf"/"nan" or non-ASCII digit can occur.  isascii() comes first, as
+    # encode() raises on a lone surrogate.  Every other row (a comment, an
+    # empty sample, a header line, text float() rejects, a non-finite sum)
+    # takes the field-by-field checks, which raise the exact errors: each
+    # field is matched once against the shared real pattern, and one check
+    # per row applies read_real's rule that overflow is malformed.
+    shortcut = sep != ds
+    alphabet = _FAST_ALPHABET + (sep + ds).encode()
     match_real = _REAL_PATTERNS[ds].match
     while True:
         item = cursor.next_nonblank()
         if item is None:
             break
         line, line_no = item
+        if shortcut and line.isascii() and not line.encode().translate(None, alphabet):
+            fields = line.replace(ds, ".").split(sep)
+            if len(fields) == 1 + channels:
+                try:
+                    row = tuple(map(float, fields))
+                except ValueError:  # an empty field, or text outside the grammar
+                    pass
+                else:
+                    if math.isfinite(sum(row)):
+                        segment.rows.append(DataRow(row[0], row[1:]))
+                        continue
         fields = line.split(sep)
         if not match_real(fields[0]):
             cursor.push_back()
@@ -581,59 +598,6 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
             _reject_row(fields, ds, line_no)
         segment.rows.append(DataRow(x=x, values=tuple(values), comment=comment))
     return segment
-
-
-# every byte a data block may hold for _fast_rows, besides sep and ds
-_FAST_ALPHABET = b"0123456789eE+-\n"
-
-
-def _fast_rows(cursor: _Lines, sep: str, ds: str, width: int) -> Optional[list[DataRow]]:
-    """The data rows from the cursor on, converted in one pass, or None
-    when the pass does not apply: sep is ds, or the rest of the input holds
-    a character other than a digit, ``eE+-``, ds, sep and a line break.
-
-    On that alphabet float() accepts exactly read_real's grammar once ds
-    reads as ".": no whitespace, ``_``, ``inf``/``nan`` or non-ASCII digit
-    can occur, so a row float() takes is a row the row loop takes, with the
-    same values.  The pass stops before the first line it cannot take (an
-    empty x, a field count other than width, text float() rejects, a
-    non-finite value) and leaves the cursor there, so the row loop goes on
-    from that line with its exact errors.  A letter anywhere after the
-    cursor (a comment, the next segment's header) leaves it all to the
-    row loop.
-    """
-    if sep == ds:
-        return None
-    start = cursor.pos
-    block = "\n".join(cursor.lines[start:])
-    if not block.isascii() or block.encode().translate(
-            None, _FAST_ALPHABET + (sep + ds).encode()):
-        return None
-    if ds != ".":
-        block = block.replace(ds, ".")
-    rows = []
-    for offset, line in enumerate(block.split("\n")):
-        if not line:
-            continue
-        fields = line.split(sep)
-        if len(fields) != width or not fields[0]:
-            break
-        try:
-            row = tuple(map(float, fields))
-            finite = math.isfinite(sum(row))
-        except ValueError:  # an empty sample, or text outside the grammar
-            try:
-                row = tuple([float(f) if f else None for f in fields])
-            except ValueError:
-                break
-            finite = math.isfinite(sum(v for v in row if v is not None))
-        if not finite:
-            break
-        rows.append(DataRow(row[0], row[1:]))
-    else:
-        offset = len(cursor.lines) - start
-    cursor.pos = start + offset
-    return rows
 
 
 # --- serialization ----------------------------------------------------------

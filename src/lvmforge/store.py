@@ -363,17 +363,31 @@ class Store:
                 raise UnknownEquipment(record.equipment_name)
             params = self._parameter_ids(eqp)
 
-            def prm_number(name: str) -> int:
+            def describe(sides: dict) -> str:
+                return ", ".join(f"{key} {getattr(value, 'value', value)}"
+                                 for key, value in sides.items())
+
+            def prm_number(name: str, **given) -> int:
+                """The parameter's number.  Raises UnknownParameter when the
+                model lacks the parameter or declares it other than given:
+                the store keeps only the model's declaration."""
                 if name not in params:
                     raise UnknownParameter(f"{record.equipment_name}: {name}")
-                return params[name][0]
+                number, definition = params[name]
+                declared = {key: getattr(definition, key) for key in given}
+                if declared != given:
+                    raise UnknownParameter(
+                        f"{record.equipment_name}: {name} has {describe(given)} in the"
+                        f" record but {describe(declared)} in the model")
+                return number
 
-            values = [(prm_number(name), render_canonical(typed))
-                      for per_category in record.values.values()
+            values = [(prm_number(name, category=category, value_type=typed.value_type,
+                                  unit=typed.unit), render_canonical(typed))
+                      for category, per_category in record.values.items()
                       for name, typed in per_category.items()]
             series: list[int] = []
             for s in record.series:
-                number = prm_number(s.name)
+                number = prm_number(s.name, unit=s.unit)
                 if number in series:
                     raise DuplicateKey(f"{record.equipment_name}: two series {s.name!r}")
                 series.append(number)

@@ -19,9 +19,15 @@ from lvmforge import (
     Separator,
     TimePref,
 )
-from lvmforge.lvm import _FILE_KEYS, _SEGMENT_KEYS
+from lvmforge.lvm import file_header_fields, segment_header_fields
 
-_KNOWN_KEYS = set(_FILE_KEYS) | set(_SEGMENT_KEYS)
+# the keys the writer emits for a header and a segment with every field set
+_KNOWN_KEYS = {key for key, _ in file_header_fields(LvmFileHeader(
+    operator="o", date=date(2000, 1, 1), time=HighPrecisionTime(0, 0, 0)), ".")} | {
+    key for key, _ in segment_header_fields(LvmSegment(
+        channels=1, notes="", samples_per_channel=[1], channel_dates=[date(2000, 1, 1)],
+        channel_times=[HighPrecisionTime(0, 0, 0)], x_dimension=["Time"], x0=[0.0],
+        delta_x=[1.0]), ".")}
 _WORD_CHARS = string.ascii_letters + "_"
 _TEXT_CHARS = string.ascii_letters + string.digits + " _-/().:"
 

@@ -181,6 +181,34 @@ def test_put_measurement_undeclared_parameter(store, sytherm3, annex_record):
     assert count(store, "t_val_values") == 0
 
 
+def test_put_measurement_rejects_what_get_would_not_give_back(store, sytherm3,
+                                                              annex_record):
+    """A series unit, or a value's category, type or unit, other than the
+    model declares would come back as the model's, so put refuses it."""
+    store.put_equipment(sytherm3)
+    store.put_measurement(annex_record)
+    info = ConceptCategory.MEASUREMENT_INFORMATION
+    setup = ConceptCategory.EXPERIMENT_CHARACTERIZATION
+    cases = [
+        ("Channel_1", lambda r: r.series.__setitem__(
+            1, ChannelSeries("Channel_1", "Kelvin", r.series[1].points))),
+        ("Date", lambda r: r.set_value(info, "Date",
+                                       TypedValue("2013/01/01", ValueType.STRING))),
+        ("X0", lambda r: r.set_value(setup, "X0", TypedValue(0.0, ValueType.REAL, "Kelvin"))),
+        ("Operator", lambda r: r.set_value(ConceptCategory.WARNINGS, "Operator",
+                                           r.values[info].pop("Operator"))),
+    ]
+    before = {t: count(store, t) for t in EXPECTED_TABLES}
+    for name, spoil in cases:
+        record = dataclasses.replace(annex_record, series=list(annex_record.series), values={
+            category: dict(values) for category, values in annex_record.values.items()})
+        spoil(record)
+        with pytest.raises(UnknownParameter, match=f"SYTHERM: {name} has .* in the record"
+                                                   " but .* in the model"):
+            store.put_measurement(record)
+        assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+
+
 def test_measurement_roundtrip(store, sytherm3, annex_record):
     store.put_equipment(sytherm3)
     msr = store.put_measurement(annex_record)
