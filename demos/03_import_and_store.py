@@ -1,8 +1,9 @@
 """The full ingestion path: registry dispatch, import, query, edit.
 
-A parsing procedure is bound to an (equipment, extension) pair; importing
-a file resolves the procedure from the filename, maps the parsed document
-onto the equipment model and persists one measurement record.
+A parsing procedure is bound to an (equipment, extension) pair in the
+store; importing a file resolves the procedure from the filename, maps the
+parsed document onto the equipment model and persists one measurement
+record in the same store.
 """
 
 import tempfile
@@ -38,24 +39,21 @@ doc = gen_lvm(responses, operator="Profesor", date=date(2013, 2, 6),
 lvm_path = workdir / "run1.lvm"
 lvm_path.write_bytes(serialize_lvm(doc))
 
-# Registry setup: the SYTHERM model, the LVM_PARSING procedure, one binding.
+# Store setup: the SYTHERM model, the LVM_PARSING procedure, one binding.
+# The registry holds no copy of them: each of its rules reads the store.
 # The binding name follows the PROCEDURE_EXT convention.
-registry = Registry()
-registry.add_equipment(builtin_sytherm(3))
+store = init_schema(workdir / "lab.db")
+store.put_equipment(builtin_sytherm(3))
+registry = Registry.from_store(store)
 registry.register_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
 binding = registry.bind("SYTHERM", "LVM_PARSING", "lvm")
+store.put_binding(binding)
 print("binding:", binding.binding_name)
 print("resolve run1.lvm ->", registry.resolve("SYTHERM", "run1.lvm").name)
 try:
     registry.resolve("SYTHERM", "run1.csv")
 except NoBinding as exc:
     print("resolve run1.csv ->", type(exc).__name__, "-", exc)
-
-# Persist everything in one store and run the import.
-store = init_schema(workdir / "lab.db")
-store.put_equipment(registry.get_equipment("SYTHERM"))
-store.put_procedure("LVM_PARSING")
-store.put_binding(binding)
 
 record_id = import_file(lvm_path, "SYTHERM", registry, store)
 print("imported record:", record_id)

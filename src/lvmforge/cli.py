@@ -213,9 +213,7 @@ def _cmd_model_sytherm(args) -> int:
 def _cmd_proc_add(args) -> int:
     procedure = ParsingProcedure(args.name, LVM_HANDLER_ID)
     with _open_store(args) as store:
-        registry = Registry.from_store(store)
-        registry.register_procedure(procedure)
-        store.put_procedure(procedure)
+        Registry.from_store(store).register_procedure(procedure)
     print(procedure.name)
     return 0
 

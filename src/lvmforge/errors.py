@@ -62,10 +62,6 @@ class EmptyName(LvmforgeError):
     pass
 
 
-class DuplicateEquipmentName(LvmforgeError):
-    pass
-
-
 class DuplicateParameterName(LvmforgeError):
     pass
 

@@ -6,8 +6,12 @@ relation between equipments and procedures.  Binding names follow the
 PROCEDURE_EXT convention, e.g. LVM_PARSING bound to "lvm" yields
 LVM_PARSING_LVM.
 
-The .lvm parser is the only implementation: every procedure names it by
-``LVM_HANDLER_ID``, and the registry refuses any other handler id.
+Equipments, procedures and bindings live in the store alone.  Registry
+is the set of rules over them (a procedure's handler is known, a binding's
+extension is declared and not yet bound, a file's extension is bound) and
+reads the store each time it applies one.  The .lvm parser is the only
+implementation: every procedure names it by ``LVM_HANDLER_ID``, and the
+registry refuses any other handler id.
 """
 
 from __future__ import annotations
@@ -20,11 +24,9 @@ from typing import Optional
 from .errors import (
     ChannelCountMismatch,
     DuplicateBinding,
-    DuplicateEquipmentName,
     DuplicateProcedure,
     ExtensionNotDeclared,
     NoBinding,
-    UnknownEquipment,
     UnknownHandler,
     UnknownProcedure,
 )
@@ -94,81 +96,54 @@ LVM_HANDLER_ID = "builtin.lvm"
 
 
 class Registry:
-    """Equipments, parsing procedures and their (equipment, extension) bindings.
+    """The dispatch rules over the store's equipments, procedures and
+    bindings.  It holds only the store handle and reads the store in each
+    rule, so it sees a binding written after it was built."""
 
-    Read-mostly: registrations happen at startup or through CLI commands
-    under a single-writer contract; resolve() is a pure lookup.
-    """
-
-    def __init__(self):
-        self._equipments: dict[str, EquipmentModel] = {}
-        self._procedures: dict[str, ParsingProcedure] = {}
-        self._bindings: dict[tuple[str, str], ParsingBinding] = {}
-
-    def add_equipment(self, model: EquipmentModel) -> None:
-        if model.name in self._equipments:
-            raise DuplicateEquipmentName(model.name)
-        self._equipments[model.name] = model
-
-    def get_equipment(self, name: str) -> EquipmentModel:
-        try:
-            return self._equipments[name]
-        except KeyError:
-            raise UnknownEquipment(name) from None
-
-    def register_procedure(self, procedure: ParsingProcedure) -> None:
-        if procedure.name in self._procedures:
-            raise DuplicateProcedure(procedure.name)
-        if procedure.handler_id != LVM_HANDLER_ID:
-            raise UnknownHandler(procedure.handler_id)
-        self._procedures[procedure.name] = procedure
-
-    def get_procedure(self, name: str) -> ParsingProcedure:
-        try:
-            return self._procedures[name]
-        except KeyError:
-            raise UnknownProcedure(name) from None
-
-    def bind(self, equipment: str, procedure: str, extension: str) -> ParsingBinding:
-        model = self.get_equipment(equipment)
-        proc = self.get_procedure(procedure)
-        ext = extension.lower()
-        if ext not in model.extensions:
-            raise ExtensionNotDeclared(f"{equipment} does not declare .{ext}")
-        if (equipment, ext) in self._bindings:
-            raise DuplicateBinding(f"({equipment}, {ext})")
-        binding = ParsingBinding(
-            binding_name=binding_name(proc.name, ext),
-            equipment_name=equipment,
-            procedure_name=proc.name,
-            extension=ext,
-        )
-        self._bindings[(equipment, ext)] = binding
-        return binding
-
-    def resolve(self, equipment: str, filename: str) -> ParsingProcedure:
-        """Procedure bound to (equipment, extension-of-filename)."""
-        ext = os.path.splitext(filename)[1].lstrip(".").lower()
-        binding = self._bindings.get((equipment, ext))
-        if binding is None:
-            raise NoBinding(equipment, ext)
-        return self._procedures[binding.procedure_name]
+    def __init__(self, store):
+        self._store = store
 
     @classmethod
     def from_store(cls, store) -> "Registry":
-        """Rebuild a registry from persisted equipments, procedures, bindings.
+        """The registry over store; runs no query."""
+        return cls(store)
 
-        Stored procedures all resolve to the .lvm parser: it is the only
-        parser implementation.
-        """
-        registry = cls()
-        for name in store.list_equipment():
-            registry.add_equipment(store.get_equipment(name))
-        for name in store.list_procedures():
-            registry.register_procedure(ParsingProcedure(name, LVM_HANDLER_ID))
-        for binding in store.list_bindings():
-            registry._bindings[(binding.equipment_name, binding.extension)] = binding
-        return registry
+    def get_equipment(self, name: str) -> EquipmentModel:
+        return self._store.get_equipment(name)
+
+    def register_procedure(self, procedure: ParsingProcedure) -> None:
+        """Check the procedure and write it to the store."""
+        if procedure.name in self._store.list_procedures():
+            raise DuplicateProcedure(procedure.name)
+        if procedure.handler_id != LVM_HANDLER_ID:
+            raise UnknownHandler(procedure.handler_id)
+        self._store.put_procedure(procedure)
+
+    def bind(self, equipment: str, procedure: str, extension: str) -> ParsingBinding:
+        """The checked binding of procedure to (equipment, extension); the
+        caller writes it with Store.put_binding."""
+        model = self._store.get_equipment(equipment)
+        if procedure not in self._store.list_procedures():
+            raise UnknownProcedure(procedure)
+        ext = extension.lower()
+        if ext not in model.extensions:
+            raise ExtensionNotDeclared(f"{equipment} does not declare .{ext}")
+        if self._binding(equipment, ext) is not None:
+            raise DuplicateBinding(f"({equipment}, {ext})")
+        return ParsingBinding(binding_name(procedure, ext), equipment, procedure, ext)
+
+    def resolve(self, equipment: str, filename: str) -> ParsingProcedure:
+        """Procedure bound to (equipment, extension-of-filename).  Stored
+        procedures all name the .lvm parser, the only implementation."""
+        ext = os.path.splitext(filename)[1].lstrip(".").lower()
+        binding = self._binding(equipment, ext)
+        if binding is None:
+            raise NoBinding(equipment, ext)
+        return ParsingProcedure(binding.procedure_name, LVM_HANDLER_ID)
+
+    def _binding(self, equipment: str, ext: str) -> Optional[ParsingBinding]:
+        return next((b for b in self._store.list_bindings()
+                     if (b.equipment_name, b.extension) == (equipment, ext)), None)
 
 
 def map_lvm_to_record(doc: LvmDocument, model: EquipmentModel,

@@ -320,7 +320,6 @@ def parse_model_definition(text: str) -> EquipmentModel:
     (duplicate names, missing enum domains, unknown units) surface as their
     own error types.
     """
-    model: Optional[EquipmentModel] = None
     fields: dict[str, str] = {}
     params: list[ParameterDefinition] = []
     extensions: set[str] = set()

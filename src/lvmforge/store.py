@@ -14,11 +14,12 @@ The schema follows the t_<code>_<name> / <code>_number naming convention:
                                 by (msr_number, prm_number, ser_index)
 
 Values are stored in their canonical text form (see
-:func:`lvmforge.model.render_canonical`), which validate_value reads
-back as the same value, so put followed by get reconstructs an equal
-record.  All writes are transactional; the engine is SQLite (single
-writer, many readers).  This is schema version 2; init_schema migrates a
-version-1 store (t_ser_series as a rowid table, no msr_series) on open.
+:func:`lvmforge.model.render_canonical`); put_measurement refuses a value
+that validate_value does not read back from that text as the same value,
+so put followed by get reconstructs an equal record.  All writes are
+transactional; the engine is SQLite (single writer, many readers).  This
+is schema version 2; init_schema migrates a version-1 store (t_ser_series
+as a rowid table, no msr_series) on open.
 Every SQLite failure, at open time or later, surfaces as a
 :class:`~lvmforge.errors.StorageError` (see _sqlite_errors).
 """
@@ -42,6 +43,7 @@ from .errors import (
     NotFound,
     SchemaVersionMismatch,
     StorageUnavailable,
+    TypeMismatch,
     UnknownEquipment,
     UnknownParameter,
 )
@@ -52,6 +54,7 @@ from .model import (
     EquipmentModel,
     ParameterDefinition,
     ParameterSource,
+    TypedValue,
     ValueType,
     make_typed,
     render_canonical,
@@ -314,12 +317,11 @@ class Store:
 
     # -- procedures and bindings ---------------------------------------------
 
-    def put_procedure(self, procedure: Union[ParsingProcedure, str]) -> int:
-        name = procedure.name if isinstance(procedure, ParsingProcedure) else procedure
+    def put_procedure(self, procedure: ParsingProcedure) -> int:
         with self._transaction() as conn:
             return conn.execute(
                 "INSERT INTO t_psf_parsingfunction (psf_name) VALUES (?)",
-                (name,)).lastrowid
+                (procedure.name,)).lastrowid
 
     def list_procedures(self) -> list[str]:
         with _sqlite_errors(self._path):
@@ -382,7 +384,7 @@ class Store:
                 return number
 
             values = [(prm_number(name, category=category, value_type=typed.value_type,
-                                  unit=typed.unit), render_canonical(typed))
+                                  unit=typed.unit), _stored_text(params[name][1], typed))
                       for category, per_category in record.values.items()
                       for name, typed in per_category.items()]
             series: list[int] = []
@@ -520,6 +522,22 @@ class Store:
                 conn.execute(
                     "INSERT INTO t_val_values (msr_number, prm_number, val_text)"
                     " VALUES (?,?,?)", (msr_number, prm_number, text))
+
+
+def _stored_text(definition: ParameterDefinition, typed: TypedValue) -> str:
+    """The canonical text of a value.  Raises TypeMismatch unless the
+    parameter's grammar reads that text back as the value itself, which is
+    what get_measurement will do with it."""
+    try:
+        text = render_canonical(typed)
+    except (AttributeError, TypeError):
+        # a Python value of another kind than its ValueType, e.g. a str Date
+        raise TypeMismatch(definition.name, str(typed.value),
+                           f"a {type(typed.value).__name__} is not a"
+                           f" {typed.value_type.value} value") from None
+    if make_typed(definition, text) != typed:
+        raise TypeMismatch(definition.name, text, "reads back as another value")
+    return text
 
 
 def _has_value(condition: str) -> str:

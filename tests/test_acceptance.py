@@ -145,14 +145,10 @@ def test_criterion_5_steady_state_oracle():
 
 
 def test_criterion_6_dispatch_law(store, sytherm3):
-    registry = Registry()
-    registry.add_equipment(sytherm3)
-    registry.register_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
-    binding = registry.bind("SYTHERM", "LVM_PARSING", "lvm")
-
     store.put_equipment(sytherm3)
-    store.put_procedure("LVM_PARSING")
-    store.put_binding(binding)
+    registry = Registry.from_store(store)
+    registry.register_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
+    store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
 
     assert registry.resolve("SYTHERM", "x.lvm").name == "LVM_PARSING"
     stored_name = store._conn.execute(

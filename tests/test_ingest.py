@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lvmforge import (
     ConceptCategory,
+    ParsingBinding,
     ParsingProcedure,
     Registry,
     builtin_sytherm,
@@ -18,7 +19,6 @@ from lvmforge import (
 from lvmforge.errors import (
     ChannelCountMismatch,
     DuplicateBinding,
-    DuplicateEquipmentName,
     DuplicateProcedure,
     ExtensionNotDeclared,
     NoBinding,
@@ -32,31 +32,30 @@ from docgen import random_document
 
 
 @pytest.fixture()
-def registry(sytherm3):
-    reg = Registry()
-    reg.add_equipment(sytherm3)
+def registry(store, sytherm3):
+    """A registry over a store that holds SYTHERM and LVM_PARSING."""
+    store.put_equipment(sytherm3)
+    reg = Registry.from_store(store)
     reg.register_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
     return reg
 
 
-def test_register_and_resolve(registry):
-    registry.bind("SYTHERM", "LVM_PARSING", "lvm")
+def test_register_and_resolve(store, registry):
+    store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
     assert registry.resolve("SYTHERM", "run1.lvm").name == "LVM_PARSING"
+    assert store.list_procedures() == ["LVM_PARSING"]
 
 
-def test_register_twice(registry):
-    with pytest.raises(DuplicateProcedure):
+def test_register_twice(store, registry):
+    with pytest.raises(DuplicateProcedure, match="^LVM_PARSING$"):
         registry.register_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
+    assert store.list_procedures() == ["LVM_PARSING"]
 
 
-def test_register_unknown_handler(registry):
-    with pytest.raises(UnknownHandler):
+def test_register_unknown_handler(store, registry):
+    with pytest.raises(UnknownHandler, match="^builtin.mes$"):
         registry.register_procedure(ParsingProcedure("MES_PARSING", "builtin.mes"))
-
-
-def test_add_equipment_duplicate(registry, sytherm3):
-    with pytest.raises(DuplicateEquipmentName):
-        registry.add_equipment(sytherm3)
+    assert store.list_procedures() == ["LVM_PARSING"]
 
 
 def test_bind_canonical_name(registry):
@@ -67,31 +66,32 @@ def test_bind_canonical_name(registry):
 
 
 def test_bind_undeclared_extension(registry):
-    with pytest.raises(ExtensionNotDeclared):
+    with pytest.raises(ExtensionNotDeclared, match="^SYTHERM does not declare .txt$"):
         registry.bind("SYTHERM", "LVM_PARSING", "txt")
 
 
-def test_bind_duplicate(registry):
-    registry.bind("SYTHERM", "LVM_PARSING", "lvm")
-    with pytest.raises(DuplicateBinding):
-        registry.bind("SYTHERM", "LVM_PARSING", "lvm")
+def test_bind_duplicate(store, registry):
+    store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
+    for extension in ("lvm", "LVM"):
+        with pytest.raises(DuplicateBinding, match=r"^\(SYTHERM, lvm\)$"):
+            registry.bind("SYTHERM", "LVM_PARSING", extension)
 
 
 def test_bind_unknown_names(registry):
-    with pytest.raises(UnknownEquipment):
+    with pytest.raises(UnknownEquipment, match="^NOPE$"):
         registry.bind("NOPE", "LVM_PARSING", "lvm")
-    with pytest.raises(UnknownProcedure):
+    with pytest.raises(UnknownProcedure, match="^NOPE$"):
         registry.bind("SYTHERM", "NOPE", "lvm")
 
 
-def test_resolve_case_insensitive_extension(registry):
-    registry.bind("SYTHERM", "LVM_PARSING", "lvm")
+def test_resolve_case_insensitive_extension(store, registry):
+    store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
     assert registry.resolve("SYTHERM", "run1.LVM").name == "LVM_PARSING"
 
 
-def test_resolve_no_binding(registry):
-    registry.bind("SYTHERM", "LVM_PARSING", "lvm")
-    with pytest.raises(NoBinding):
+def test_resolve_no_binding(store, registry):
+    store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
+    with pytest.raises(NoBinding, match="'SYTHERM', 'csv'"):
         registry.resolve("SYTHERM", "run1.csv")
     with pytest.raises(NoBinding):
         registry.resolve("SYTHERM", "no_extension")
@@ -177,9 +177,7 @@ def test_mapping_totality_over_serialized_documents(seed, channels):
     assert "Writer_Version" not in stored and "Reader_Version" not in stored
 
 
-def test_import_file(tmp_path, store, registry, sytherm3, annex1_bytes):
-    store.put_equipment(sytherm3)
-    store.put_procedure("LVM_PARSING")
+def test_import_file(tmp_path, store, registry, annex1_bytes):
     store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
     path = tmp_path / "annex1.lvm"
     path.write_bytes(annex1_bytes)
@@ -190,7 +188,7 @@ def test_import_file(tmp_path, store, registry, sytherm3, annex1_bytes):
 
 
 def test_import_missing_file(tmp_path, store, registry):
-    registry.bind("SYTHERM", "LVM_PARSING", "lvm")
+    store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
     with pytest.raises(FileNotFoundError):
         import_file(tmp_path / "nope.lvm", "SYTHERM", registry, store)
 
@@ -203,12 +201,32 @@ def test_import_unbound_extension(tmp_path, store, registry):
 
 
 def test_registry_from_store(store, sytherm3, registry):
-    store.put_equipment(sytherm3)
-    store.put_procedure("LVM_PARSING")
     store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
     loaded = Registry.from_store(store)
     assert loaded.resolve("SYTHERM", "x.lvm").name == "LVM_PARSING"
     assert loaded.get_equipment("SYTHERM") == sytherm3
+    with pytest.raises(UnknownEquipment, match="^NOPE$"):
+        loaded.get_equipment("NOPE")
+
+
+def test_registry_sees_a_binding_written_after_it_was_built(store, sytherm3):
+    store.put_equipment(sytherm3)
+    store.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
+    registry = Registry.from_store(store)
+    with pytest.raises(NoBinding):
+        registry.resolve("SYTHERM", "x.lvm")
+    store.put_binding(ParsingBinding("LVM_PARSING_LVM", "SYTHERM", "LVM_PARSING", "lvm"))
+    assert registry.resolve("SYTHERM", "x.lvm").name == "LVM_PARSING"
+
+
+def test_registry_from_store_runs_no_query(store, sytherm3):
+    store.put_equipment(sytherm3)
+    store.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
+    sent = []
+    store._conn.set_trace_callback(sent.append)
+    Registry.from_store(store)
+    store._conn.set_trace_callback(None)
+    assert sent == []
 
 
 def test_record_timestamps(annex1_doc, sytherm3):

@@ -14,6 +14,7 @@ from lvmforge import (
     ConceptCategory,
     MeasurementRecord,
     ParsingBinding,
+    ParsingProcedure,
     Registry,
     TypedValue,
     ValueType,
@@ -35,6 +36,7 @@ from lvmforge.errors import (
     UnknownEquipment,
     UnknownParameter,
 )
+from lvmforge.ingest import LVM_HANDLER_ID
 from lvmforge.store import Store
 
 EXPECTED_TABLES = {
@@ -139,7 +141,7 @@ def test_binding_before_procedure(store, sytherm3):
 
 def test_binding_roundtrip(store, sytherm3):
     store.put_equipment(sytherm3)
-    store.put_procedure("LVM_PARSING")
+    store.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
     binding = ParsingBinding("LVM_PARSING_LVM", "SYTHERM", "LVM_PARSING", "lvm")
     assert store.put_binding(binding) == "LVM_PARSING_LVM"
     assert store.list_bindings() == [binding]
@@ -205,6 +207,33 @@ def test_put_measurement_rejects_what_get_would_not_give_back(store, sytherm3,
         spoil(record)
         with pytest.raises(UnknownParameter, match=f"SYTHERM: {name} has .* in the record"
                                                    " but .* in the model"):
+            store.put_measurement(record)
+        assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+
+
+def test_put_measurement_rejects_a_value_its_grammar_does_not_read_back(
+        store, sytherm3, annex_record):
+    """Each value's stored text must read back as the value itself: get
+    would otherwise fail on the record or return another value."""
+    store.put_equipment(sytherm3)
+    store.put_measurement(annex_record)
+    info = ConceptCategory.MEASUREMENT_INFORMATION
+    setup = ConceptCategory.EXPERIMENT_CHARACTERIZATION
+    cases = [
+        (setup, "Channels", TypedValue("many", ValueType.INTEGER), "'many'"),
+        (setup, "X0", TypedValue(float("nan"), ValueType.REAL), "'nan'"),
+        (info, "Date", TypedValue("2013/02/06", ValueType.DATE),
+         "'2013/02/06': a str is not a Date value"),
+        (setup, "X0", TypedValue("1.5", ValueType.REAL), "'1.5': a str is not a Real value"),
+        (setup, "Multi_Headings", TypedValue("yes", ValueType.BOOLEAN),
+         "'Yes': reads back as another value"),
+    ]
+    before = {t: count(store, t) for t in EXPECTED_TABLES}
+    for category, name, typed, rejected in cases:
+        record = dataclasses.replace(annex_record, values={
+            c: dict(values) for c, values in annex_record.values.items()})
+        record.set_value(category, name, typed)
+        with pytest.raises(TypeMismatch, match=re.escape(f"parameter {name!r} rejects {rejected}")):
             store.put_measurement(record)
         assert {t: count(store, t) for t in EXPECTED_TABLES} == before
 
@@ -353,7 +382,8 @@ _STORE_CALLS = {
         dataclasses.replace(builtin_sytherm(2), name="OTHER")),
     "get_equipment": lambda s, r, msr: s.get_equipment("SYTHERM"),
     "list_equipment": lambda s, r, msr: s.list_equipment(),
-    "put_procedure": lambda s, r, msr: s.put_procedure("OTHER"),
+    "put_procedure": lambda s, r, msr: s.put_procedure(
+        ParsingProcedure("OTHER", LVM_HANDLER_ID)),
     "list_procedures": lambda s, r, msr: s.list_procedures(),
     "put_binding": lambda s, r, msr: s.put_binding(
         ParsingBinding("LVM_PARSING_LVM", "SYTHERM", "LVM_PARSING", "lvm")),
@@ -390,7 +420,7 @@ def test_no_sqlite_error_escapes(tmp_path, sytherm3, annex_record, break_store, 
     path = tmp_path / "store.db"
     with init_schema(path) as store:
         store.put_equipment(sytherm3)
-        store.put_procedure("LVM_PARSING")
+        store.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
         msr = store.put_measurement(annex_record)
         before = {t: count(store, t) for t in EXPECTED_TABLES}
         store._conn.execute("PRAGMA busy_timeout = 0")
@@ -607,7 +637,7 @@ def test_series_reads_and_delete_sort_nothing(store, sytherm3, annex_record):
 
 def test_lone_surrogate_text_is_a_storage_error(tmp_path, store, sytherm3, annex1_bytes):
     store.put_equipment(sytherm3)
-    store.put_procedure("LVM_PARSING")
+    store.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
     store.put_binding(ParsingBinding("LVM_PARSING_LVM", "SYTHERM", "LVM_PARSING", "lvm"))
     registry = Registry.from_store(store)
     # an undecodable byte in a file name reads as a lone surrogate
