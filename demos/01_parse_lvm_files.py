@@ -44,7 +44,6 @@ print("operator:", header.operator)
 print("acquired:", header.date, header.time.render("."))
 # 19 fractional digits survive verbatim; a float could not hold them
 print("fraction digits:", header.time.fraction_digits)
-print("approximate fraction:", header.time.approx_fraction)
 
 segment = doc.segments[0]
 print("channels:", segment.channels)

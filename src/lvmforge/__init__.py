@@ -33,7 +33,6 @@ from .lvm import (
     LvmSegment,
     Separator,
     TimePref,
-    XColumns,
     channel_series,
     parse_lvm,
     serialize_lvm,
@@ -49,7 +48,6 @@ from .model import (
     builtin_sytherm,
     define_equipment,
     parse_model_definition,
-    register_unit,
     render_canonical,
     render_model_definition,
     validate_value,
@@ -81,7 +79,6 @@ __all__ = [
     "TimePref",
     "TypedValue",
     "ValueType",
-    "XColumns",
     "add_parameter",
     "builtin_sytherm",
     "channel_series",
@@ -97,7 +94,6 @@ __all__ = [
     "nonlinearity_error",
     "parse_lvm",
     "parse_model_definition",
-    "register_unit",
     "render_canonical",
     "render_model_definition",
     "serialize_lvm",

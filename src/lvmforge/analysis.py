@@ -165,28 +165,23 @@ def synth_first_order(y0: float, y_inf: float, tau: float, dt: float, n: int,
     return StepResponse(samples=tuple(zip(t, y)), y0=y0, y_inf=y_inf)
 
 
-def step_response_from_series(points: Sequence[tuple[float, float]],
-                              y0: Optional[float] = None,
-                              y_inf: Optional[float] = None) -> StepResponse:
+def step_response_from_series(points: Sequence[tuple[float, float]]) -> StepResponse:
     """Build a StepResponse from measured (t, y) points.
 
-    Unless given, y0 is the first sample and y_inf the mean over the
-    steady-state tail found with the default window and epsilon (falling
-    back to the last sample when no steady window exists).
+    y0 is the first sample and y_inf the mean over the steady-state tail
+    found with the default window and epsilon (falling back to the last
+    sample when no steady window exists).  A caller that knows the
+    asymptotes builds ``StepResponse(samples, y0, y_inf)`` directly.
     """
-    points = [tuple(p) for p in points]
     if len(points) < 3:
         raise InsufficientData(f"{len(points)} points, need at least 3")
     ys = [y for _, y in points]
-    if y0 is None:
-        y0 = ys[0]
-    if y_inf is None:
-        try:
-            start = detect_steady_state(ys)
-        except InsufficientData:
-            start = None
-        y_inf = statistics.fmean(ys[start:]) if start is not None else ys[-1]
-    return StepResponse(samples=tuple(points), y0=y0, y_inf=y_inf)
+    try:
+        start = detect_steady_state(ys)
+    except InsufficientData:
+        start = None
+    y_inf = statistics.fmean(ys[start:]) if start is not None else ys[-1]
+    return StepResponse(samples=points, y0=ys[0], y_inf=y_inf)
 
 
 def gen_lvm(responses: Sequence[StepResponse], operator: str = "",

@@ -33,6 +33,13 @@ from .model import (
 STORE_ENV_VAR = "LVMFORGE_STORE"
 
 
+def _reals(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of reals: {text!r}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
@@ -107,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_sub = analyze.add_subparsers(dest="analyze_command", required=True)
     p = analyze_sub.add_parser("nonlin", help="per-point non-linearity error")
     p.add_argument("id", type=int)
-    p.add_argument("--refs", required=True, metavar="T1,T2,...",
+    p.add_argument("--refs", required=True, type=_reals, metavar="T1,T2,...",
                    help="reference temperatures, one per sample")
     p.add_argument("--tref30", type=float, required=True,
                    help="reference temperature at ambient")
@@ -299,9 +306,8 @@ def _series_points(store, record_id, channel):
 def _cmd_analyze_nonlin(args) -> int:
     with _open_store(args) as store:
         points = _series_points(store, args.id, args.channel)
-    refs = tuple(float(r) for r in args.refs.split(","))
     data = analysis.NonLinearityInput(
-        t_real=tuple(y for _, y in points), t_ref=refs, t_ref30=args.tref30)
+        t_real=tuple(y for _, y in points), t_ref=args.refs, t_ref30=args.tref30)
     for eps in analysis.nonlinearity_error(data):
         print(f"{eps:.6f}")
     return 0

@@ -58,12 +58,6 @@ class Separator(Enum):
         return "\t" if self is Separator.TAB else ","
 
 
-class XColumns(Enum):
-    NO = "No"
-    ONE = "One"
-    MULTI = "Multi"
-
-
 class TimePref(Enum):
     ABSOLUTE = "Absolute"
     RELATIVE = "Relative"
@@ -90,11 +84,6 @@ class HighPrecisionTime:
         if self.fraction_digits and not self.fraction_digits.isdigit():
             raise InvariantViolation("fraction_digits must be decimal digits")
 
-    @property
-    def approx_fraction(self) -> float:
-        """Rounded real value of the fraction, for display and queries only."""
-        return float("0." + self.fraction_digits) if self.fraction_digits else 0.0
-
     def render(self, decimal_separator: str = ".") -> str:
         base = f"{self.hours:02d}:{self.minutes:02d}:{self.seconds:02d}"
         if self.fraction_digits:
@@ -108,8 +97,6 @@ class LvmFileHeader:
     reader_version: int = 2
     separator: Separator = Separator.TAB
     decimal_separator: str = "."
-    multi_headings: bool = False
-    x_columns: XColumns = XColumns.ONE
     time_pref: TimePref = TimePref.ABSOLUTE
     operator: str = ""
     date: Optional[Date] = None
@@ -253,6 +240,19 @@ def format_date(value: Date) -> str:
     return f"{value.year:04d}/{value.month:02d}/{value.day:02d}"
 
 
+# the file-header lines of the one supported layout, one X column and one
+# heading row; the parser refuses any other value
+_FIXED_HEADER_LINES = {"Multi_Headings": "No", "X_Columns": "One"}
+
+# the keys the parser reads into a field, per level; any other key is an
+# extra key, kept verbatim
+FILE_HEADER_KEYS = frozenset({"Writer_Version", "Reader_Version", "Separator",
+                              "Decimal_Separator", *_FIXED_HEADER_LINES, "Time_Pref",
+                              "Operator", "Date", "Time"})
+SEGMENT_HEADER_KEYS = frozenset({"Notes", "Channels", "Samples", "Date", "Time",
+                                 "X_Dimension", "X0", "Delta_X"})
+
+
 def file_header_fields(header: LvmFileHeader, ds: str) -> list[tuple[str, str]]:
     """The file header's (key, value) lines in canonical order, reals and
     times rendered with decimal separator ds."""
@@ -261,8 +261,7 @@ def file_header_fields(header: LvmFileHeader, ds: str) -> list[tuple[str, str]]:
         ("Reader_Version", str(header.reader_version)),
         ("Separator", header.separator.value),
         ("Decimal_Separator", header.decimal_separator),
-        ("Multi_Headings", format_bool(header.multi_headings)),
-        ("X_Columns", header.x_columns.value),
+        *_FIXED_HEADER_LINES.items(),
         ("Time_Pref", header.time_pref.value),
     ]
     if header.operator:
@@ -351,11 +350,6 @@ def _is_terminator(line: str) -> bool:
     return line.rstrip("\t, ") == HEADER_TERMINATOR
 
 
-def _split_once(line: str, sep: str) -> tuple[str, str]:
-    head, _, rest = line.partition(sep)
-    return head, rest
-
-
 class _Lines:
     """Cursor over the input lines with 1-based line numbers."""
 
@@ -416,23 +410,19 @@ def _parse_file_header(cursor: _Lines) -> LvmFileHeader:
         raw.append((line, line_no))
 
     # The separator declaration is needed before the other lines can be
-    # split, so locate it first (guessing tab-then-comma for that one line).
-    sep = "\t"
-    for line, _ in raw:
-        key = re.split(r"[\t,]", line, maxsplit=1)[0]
-        if key == "Separator":
-            value = line[len(key) + 1:]
-            sep = {"Tab": "\t", "Comma": ","}.get(value)
-            if sep is None:
-                raise UnsupportedFeature(f"Separator={value!r}")
-            break
+    # split: read the first line keyed "Separator" (then a tab, a comma or end).
+    value = next((line[10:] for line, _ in raw
+                  if line[:10] in ("Separator", "Separator\t", "Separator,")), "Tab")
+    sep = {"Tab": "\t", "Comma": ","}.get(value)
+    if sep is None:
+        raise UnsupportedFeature(f"Separator={value!r}")
 
     fields: dict[str, object] = {}
     extra: dict[str, str] = {}
     pending_time: Optional[tuple[str, int]] = None
     ds = "."
     for line, line_no in raw:
-        key, value = _split_once(line, sep)
+        key, _, value = line.partition(sep)
         if key == "Writer_Version":
             fields["writer_version"] = _field(read_int, value, line_no, 2)
         elif key == "Reader_Version":
@@ -444,14 +434,9 @@ def _parse_file_header(cursor: _Lines) -> LvmFileHeader:
                 raise UnsupportedFeature(f"Decimal_Separator={value!r}")
             ds = value
             fields["decimal_separator"] = value
-        elif key == "Multi_Headings":
-            if value != "No":
-                raise UnsupportedFeature(f"Multi_Headings={value!r}")
-            fields["multi_headings"] = False
-        elif key == "X_Columns":
-            if value != "One":
-                raise UnsupportedFeature(f"X_Columns={value!r}")
-            fields["x_columns"] = XColumns.ONE
+        elif key in _FIXED_HEADER_LINES:
+            if value != _FIXED_HEADER_LINES[key]:
+                raise UnsupportedFeature(f"{key}={value!r}")
         elif key == "Time_Pref":
             try:
                 fields["time_pref"] = TimePref(value)
@@ -488,19 +473,21 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
         line, line_no = item
         if _is_terminator(line):
             break
-        key, value = _split_once(line, sep)
+        key, _, value = line.partition(sep)
         vals = line.split(sep)[1:]
         if key == "Notes":
             notes = value
         elif key == "Channels":
             channels = _field(read_int, value, line_no, 2)
         elif key == "Samples":
-            lists["samples"] = [_field(read_int, v, line_no, i) for i, v in enumerate(vals, 2)]
+            lists["samples_per_channel"] = [_field(read_int, v, line_no, i)
+                                            for i, v in enumerate(vals, 2)]
         elif key == "Date":
-            lists["dates"] = [_field(read_date, v, line_no, i) for i, v in enumerate(vals, 2)]
+            lists["channel_dates"] = [_field(read_date, v, line_no, i)
+                                      for i, v in enumerate(vals, 2)]
         elif key == "Time":
-            lists["times"] = [_field(read_time, v, line_no, i, ds)
-                              for i, v in enumerate(vals, 2)]
+            lists["channel_times"] = [_field(read_time, v, line_no, i, ds)
+                                      for i, v in enumerate(vals, 2)]
         elif key == "X_Dimension":
             lists["x_dimension"] = vals
         elif key == "X0":
@@ -524,18 +511,11 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
     if len(column_names) != expected_cols:
         raise ChannelCountMismatch(expected_cols, len(column_names), "column-name row")
 
+    # lists holds LvmSegment fields; a missing list takes its default
     segment = LvmSegment(
-        channels=channels,
-        notes=notes,
-        samples_per_channel=lists.get("samples", [1] * channels),
-        channel_dates=lists.get("dates", []),
-        channel_times=lists.get("times", []),
-        x_dimension=lists.get("x_dimension", ["Time"] * channels),
-        x0=lists.get("x0", [0.0] * channels),
-        delta_x=lists.get("delta_x", [1.0] * channels),
-        column_names=column_names,
-        extra_keys=extra,
-    )
+        channels=channels, notes=notes, column_names=column_names, extra_keys=extra,
+        **{"samples_per_channel": [1] * channels, "x_dimension": ["Time"] * channels,
+           "x0": [0.0] * channels, "delta_x": [1.0] * channels, **lists})
     name = _mismatched_channel_list(segment)
     if name:
         raise ChannelCountMismatch(channels, len(getattr(segment, name)), name)
@@ -626,6 +606,7 @@ def serialize_lvm(doc: LvmDocument) -> bytes:
             raise InvariantViolation(f"{what} contains the field separator")
 
     out = [MAGIC_LINE]
+    _check_extra_keys(header.extra_keys, FILE_HEADER_KEYS, sep, "header")
     for key, value in file_header_fields(header, ds):
         check_text(key, f"header key {key!r}")
         check_text(value, f"value of {key!r}", allow_sep=True)
@@ -635,6 +616,17 @@ def serialize_lvm(doc: LvmDocument) -> bytes:
     for segment in doc.segments:
         out.extend(_serialize_segment(segment, sep, ds, check_text))
     return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def _check_extra_keys(extra_keys: dict[str, str], known: frozenset[str], sep: str,
+                      level: str) -> None:
+    """Raise InvariantViolation for an extra key whose line the parser would
+    not read back as that key: one it reads into a field, a blank line (which
+    it skips) or a header terminator."""
+    for key, value in extra_keys.items():
+        line = key + sep + value
+        if key in known or not line.strip() or _is_terminator(line):
+            raise InvariantViolation(f"{level} extra key {key!r} would not read back")
 
 
 def _serialize_segment(segment: LvmSegment, sep: str, ds: str, check_text) -> list[str]:
@@ -652,6 +644,7 @@ def _serialize_segment(segment: LvmSegment, sep: str, ds: str, check_text) -> li
         raise InvariantViolation("column_names length != 1 + channels (+ Comment)")
 
     out = []
+    _check_extra_keys(segment.extra_keys, SEGMENT_HEADER_KEYS, sep, "segment")
     for key, value in segment_header_fields(segment, ds):
         check_text(key, f"segment key {key!r}")
         if isinstance(value, str):

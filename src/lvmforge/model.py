@@ -66,20 +66,13 @@ class ParameterSource(Enum):
     KEYBOARD = "Keyboard"
 
 
-# SI unit names accepted for parameter definitions; extensible at startup
-# via register_unit().
-DEFAULT_UNITS = (
+# SI unit names accepted for parameter definitions.  A constant, so that a
+# model stored by one process reads back in every other; a unit a lab needs
+# is added here.
+DEFAULT_UNITS = frozenset({
     "Second", "Radian", "Tesla", "Ampere", "CelsiusDegree",
     "Kelvin", "Volt", "Ohm", "Metre", "Kilogram",
-)
-_UNITS: set[str] = set(DEFAULT_UNITS)
-
-
-def register_unit(name: str) -> None:
-    """Add a measurement-unit name to the accepted SI-name table."""
-    if not name or not name.strip():
-        raise EmptyName("unit name must be non-empty")
-    _UNITS.add(name)
+})
 
 
 @dataclass(frozen=True)
@@ -98,8 +91,8 @@ class ParameterDefinition:
             raise MissingEnumDomain(self.name)
         if self.value_type is not ValueType.ENUMERATION and self.enum_domain:
             raise MissingEnumDomain(f"{self.name}: enum_domain only valid for Enumeration")
-        if self.unit is not None and self.unit not in _UNITS:
-            raise UnknownUnit(f"{self.name}: {self.unit!r} is not a registered unit")
+        if self.unit is not None and self.unit not in DEFAULT_UNITS:
+            raise UnknownUnit(f"{self.name}: {self.unit!r} is not a known unit")
 
 
 @dataclass(frozen=True)

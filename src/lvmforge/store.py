@@ -27,13 +27,14 @@ Every SQLite failure, at open time or later, surfaces as a
 from __future__ import annotations
 
 import json
+import math
 import re
 import sqlite3
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date as Date
 from datetime import datetime
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Optional, Union
 
@@ -392,6 +393,7 @@ class Store:
                 number = prm_number(s.name, unit=s.unit)
                 if number in series:
                     raise DuplicateKey(f"{record.equipment_name}: two series {s.name!r}")
+                _require_finite(s)
                 series.append(number)
             msr = conn.execute(
                 "INSERT INTO t_msr_measurements (eqp_number, msr_imported_at,"
@@ -538,6 +540,20 @@ def _stored_text(definition: ParameterDefinition, typed: TypedValue) -> str:
     if make_typed(definition, text) != typed:
         raise TypeMismatch(definition.name, text, "reads back as another value")
     return text
+
+
+def _require_finite(series: ChannelSeries) -> None:
+    """Raise TypeMismatch for the first sample that is not a finite real.
+    SQLite binds NaN as NULL and the .lvm parser refuses infinities, so the
+    store keeps neither."""
+    try:
+        if all(map(math.isfinite, chain.from_iterable(series.points))):
+            return
+    except TypeError:  # a sample that is not a number
+        pass
+    bad = next(v for v in chain.from_iterable(series.points)
+               if not isinstance(v, (int, float)) or not math.isfinite(v))
+    raise TypeMismatch(series.name, bad, "a sample must be a finite real")
 
 
 def _has_value(condition: str) -> str:

@@ -19,15 +19,10 @@ from lvmforge import (
     Separator,
     TimePref,
 )
-from lvmforge.lvm import file_header_fields, segment_header_fields
+from lvmforge.lvm import FILE_HEADER_KEYS, SEGMENT_HEADER_KEYS
 
-# the keys the writer emits for a header and a segment with every field set
-_KNOWN_KEYS = {key for key, _ in file_header_fields(LvmFileHeader(
-    operator="o", date=date(2000, 1, 1), time=HighPrecisionTime(0, 0, 0)), ".")} | {
-    key for key, _ in segment_header_fields(LvmSegment(
-        channels=1, notes="", samples_per_channel=[1], channel_dates=[date(2000, 1, 1)],
-        channel_times=[HighPrecisionTime(0, 0, 0)], x_dimension=["Time"], x0=[0.0],
-        delta_x=[1.0]), ".")}
+# keys the parser reads into a field, which an extra key may not take
+_KNOWN_KEYS = FILE_HEADER_KEYS | SEGMENT_HEADER_KEYS
 _WORD_CHARS = string.ascii_letters + "_"
 _TEXT_CHARS = string.ascii_letters + string.digits + " _-/().:"
 

@@ -240,13 +240,6 @@ def test_step_response_from_series_defaults():
     assert abs(estimate_time_constant(rebuilt) - 15.0) <= 0.5
 
 
-def test_step_response_from_series_explicit_asymptotes():
-    response = step_response_from_series(((0.0, 1.0), (1.0, 2.0), (2.0, 3.0)),
-                                         y0=0.0, y_inf=4.0)
-    assert response.y0 == 0.0
-    assert response.y_inf == 4.0
-
-
 def test_step_response_from_series_too_short():
     with pytest.raises(InsufficientData):
         step_response_from_series(((0.0, 1.0), (1.0, 2.0)))

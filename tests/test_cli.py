@@ -180,7 +180,9 @@ def test_parser_is_built_once_and_a_usage_error_leaves_no_trace(cli_with_sytherm
     commands = (("show", record_id), ("list",))
     first = [(c.out, c.err) for c in (cli(*argv) for argv in commands)]
     for argv in (("list", "--operator", "Nobody", "--bogus"), ("show", "not-a-number"),
-                 ("analyze", "tau", record_id, "--channel", "x"), ("no-such-command",)):
+                 ("analyze", "tau", record_id, "--channel", "x"),
+                 ("analyze", "nonlin", record_id, "--refs", "50,x", "--tref30", "300"),
+                 ("no-such-command",)):
         assert cli(*argv, expect=2).err.startswith("usage: lvmforge"), argv
     for _ in range(2):
         assert [(c.out, c.err) for c in (cli(*argv) for argv in commands)] == first

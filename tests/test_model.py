@@ -17,7 +17,6 @@ from lvmforge import (
     define_equipment,
     parse_lvm,
     parse_model_definition,
-    register_unit,
     render_canonical,
     render_model_definition,
     serialize_lvm,
@@ -86,8 +85,6 @@ def test_enum_requires_domain():
 def test_unit_table():
     with pytest.raises(UnknownUnit):
         ParameterDefinition("P", ConceptCategory.DATA, ValueType.REAL, unit="Parsec")
-    register_unit("Parsec")
-    ParameterDefinition("P", ConceptCategory.DATA, ValueType.REAL, unit="Parsec")
 
 
 def test_builtin_sytherm_3(sytherm3):

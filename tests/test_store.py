@@ -238,6 +238,26 @@ def test_put_measurement_rejects_a_value_its_grammar_does_not_read_back(
         assert {t: count(store, t) for t in EXPECTED_TABLES} == before
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "23.4"])
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+def test_put_measurement_rejects_a_sample_that_is_not_a_finite_real(
+        store, sytherm3, annex_record, bad, axis):
+    """SQLite binds NaN as NULL and the parser refuses infinities, so the
+    store refuses both, and any sample that is not a number, before it
+    writes a row."""
+    store.put_equipment(sytherm3)
+    store.put_measurement(annex_record)
+    series = list(annex_record.series)
+    points = [list(p) for p in series[1].points]
+    points[3][axis] = bad
+    series[1] = ChannelSeries(series[1].name, series[1].unit, tuple(map(tuple, points)))
+    before = {t: count(store, t) for t in EXPECTED_TABLES}
+    with pytest.raises(TypeMismatch, match=re.escape(
+            f"parameter {series[1].name!r} rejects {bad!r}: a sample must be a finite real")):
+        store.put_measurement(dataclasses.replace(annex_record, series=series))
+    assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+
+
 def test_measurement_roundtrip(store, sytherm3, annex_record):
     store.put_equipment(sytherm3)
     msr = store.put_measurement(annex_record)
