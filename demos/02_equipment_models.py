@@ -7,12 +7,11 @@ use to add equipment without programming.
 
 from lvmforge import (
     ConceptCategory,
+    EquipmentModel,
     ParameterDefinition,
     ParameterSource,
     ValueType,
-    add_parameter,
     builtin_sytherm,
-    define_equipment,
     parse_model_definition,
     render_model_definition,
     validate_value,
@@ -39,16 +38,19 @@ print("Multi_Headings No ->", validate_value(multi, "No"))
 print("Channel_0 '23,4'  ->", validate_value(sytherm.parameter("Channel_0"), "23,4"))
 
 # --- defining new equipment in code ----------------------------------------
+# The model checks itself when it is built: a blank name, a repeated
+# parameter or an extension that no file name could match is refused here.
 
-magnetometer = define_equipment(
+magnetometer = EquipmentModel(
     "VSM", "MagLab", "vibrating sample magnetometer",
-    webpage="http://example.org/vsm")
-magnetometer = add_parameter(magnetometer, ParameterDefinition(
-    "Field", ConceptCategory.DATA, ValueType.REAL, unit="Tesla"))
-magnetometer = add_parameter(magnetometer, ParameterDefinition(
-    "Mode", ConceptCategory.INSTRUMENT_SETUP, ValueType.ENUMERATION,
-    source=ParameterSource.KEYBOARD, enum_domain=("AC", "DC")))
-magnetometer = magnetometer.with_extension("txt")
+    webpage="http://example.org/vsm",
+    extensions=frozenset({"TXT"}),  # stored lower-cased, as files are matched
+    parameters=(
+        ParameterDefinition("Field", ConceptCategory.DATA, ValueType.REAL, unit="Tesla"),
+        ParameterDefinition("Mode", ConceptCategory.INSTRUMENT_SETUP, ValueType.ENUMERATION,
+                            source=ParameterSource.KEYBOARD, enum_domain=("AC", "DC")),
+    ))
+print("VSM extensions:", sorted(magnetometer.extensions))
 
 # --- the definition-file format ----------------------------------------------
 # Equipment travels as a small text file; render and parse are inverses.

@@ -41,7 +41,7 @@ lvm_path.write_bytes(serialize_lvm(doc))
 
 # Store setup: the SYTHERM model, the LVM_PARSING procedure, one binding.
 # The registry holds no copy of them: each of its rules reads the store.
-# The binding name follows the PROCEDURE_EXT convention.
+# The binding's name is derived from it by the PROCEDURE_EXT convention.
 store = init_schema(workdir / "lab.db")
 store.put_equipment(builtin_sytherm(3))
 registry = Registry.from_store(store)
@@ -66,8 +66,8 @@ print("warnings:", record.warnings)
 
 # Queries work on the stored parameter values.
 print("by operator:", [s.record_id for s in store.query(operator="Profesor")])
-print("by date:    ", [s.record_id for s in store.query(date_from="2013/01/01",
-                                                        date_to="2013/12/31")])
+print("by date:    ", [s.record_id for s in store.query(date_from=date(2013, 1, 1),
+                                                        date_to=date(2013, 12, 31))])
 
 # Edit and remove round out the measurement lifecycle.
 store.update_value(record_id, "Operator", "Student1")

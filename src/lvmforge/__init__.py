@@ -44,9 +44,7 @@ from .model import (
     ParameterSource,
     TypedValue,
     ValueType,
-    add_parameter,
     builtin_sytherm,
-    define_equipment,
     parse_model_definition,
     render_canonical,
     render_model_definition,
@@ -79,10 +77,8 @@ __all__ = [
     "TimePref",
     "TypedValue",
     "ValueType",
-    "add_parameter",
     "builtin_sytherm",
     "channel_series",
-    "define_equipment",
     "detect_steady_state",
     "estimate_time_constant",
     "export_csv",

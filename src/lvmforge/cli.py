@@ -16,12 +16,12 @@ import argparse
 import functools
 import os
 import sys
-from datetime import datetime
+from datetime import date, datetime
 
 from . import analysis, export as export_mod, store as store_mod
 from .errors import IndexOutOfRange, LvmforgeError
 from .ingest import ParsingProcedure, Registry, LVM_HANDLER_ID, import_file
-from .lvm import HighPrecisionTime, read_text, serialize_lvm
+from .lvm import HighPrecisionTime, read_date, read_text, serialize_lvm
 from .model import (
     ConceptCategory,
     builtin_sytherm,
@@ -38,6 +38,13 @@ def _reals(text: str) -> tuple[float, ...]:
         return tuple(map(float, text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of reals: {text!r}") from None
+
+
+def _date(text: str) -> date:
+    value = read_date(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not a YYYY/MM/DD date: {text!r}")
+    return value
 
 
 @functools.cache
@@ -86,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list", help="list stored measurements")
     p.add_argument("--equipment")
     p.add_argument("--operator")
-    p.add_argument("--from", dest="date_from", metavar="YYYY/MM/DD")
-    p.add_argument("--to", dest="date_to", metavar="YYYY/MM/DD")
+    p.add_argument("--from", dest="date_from", type=_date, metavar="YYYY/MM/DD")
+    p.add_argument("--to", dest="date_to", type=_date, metavar="YYYY/MM/DD")
     p.set_defaults(func=_cmd_list)
 
     p = sub.add_parser("show", help="print one measurement")

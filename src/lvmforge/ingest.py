@@ -2,16 +2,16 @@
 
 A parsing procedure is a named parser implementation; a binding attaches
 one to an (equipment, file extension) pair, realizing the many-to-many
-relation between equipments and procedures.  Binding names follow the
-PROCEDURE_EXT convention, e.g. LVM_PARSING bound to "lvm" yields
+relation between equipments and procedures.  A binding's name is derived
+by the PROCEDURE_EXT convention, e.g. LVM_PARSING bound to "lvm" is
 LVM_PARSING_LVM.
 
 Equipments, procedures and bindings live in the store alone.  Registry
-is the set of rules over them (a procedure's handler is known, a binding's
+is the set of rules over them (a procedure's name is new, a binding's
 extension is declared and not yet bound, a file's extension is bound) and
 reads the store each time it applies one.  The .lvm parser is the only
-implementation: every procedure names it by ``LVM_HANDLER_ID``, and the
-registry refuses any other handler id.
+implementation: every procedure names it by ``LVM_HANDLER_ID``, and a
+procedure with any other handler id cannot be built.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
     ChannelCountMismatch,
     DuplicateBinding,
     DuplicateProcedure,
+    EmptyName,
     ExtensionNotDeclared,
     NoBinding,
     UnknownHandler,
@@ -45,22 +46,32 @@ from .model import (
 )
 
 
+LVM_HANDLER_ID = "builtin.lvm"
+
+
 @dataclass(frozen=True)
 class ParsingProcedure:
     name: str
     handler_id: str
 
+    def __post_init__(self):
+        if not self.name.strip():
+            raise EmptyName("procedure name must be non-empty")
+        if self.handler_id != LVM_HANDLER_ID:
+            raise UnknownHandler(self.handler_id)
+
 
 @dataclass(frozen=True)
 class ParsingBinding:
-    binding_name: str
     equipment_name: str
     procedure_name: str
     extension: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "extension", self.extension.lower())
 
-def binding_name(procedure_name: str, extension: str) -> str:
-    return f"{procedure_name.upper()}_{extension.upper()}"
+    # derived, by the PROCEDURE_EXT convention: it has one legal value
+    binding_name = property(lambda self: f"{self.procedure_name.upper()}_{self.extension.upper()}")
 
 
 @dataclass(frozen=True)
@@ -92,9 +103,6 @@ class MeasurementRecord:
         self.values.setdefault(category, {})[name] = typed
 
 
-LVM_HANDLER_ID = "builtin.lvm"
-
-
 class Registry:
     """The dispatch rules over the store's equipments, procedures and
     bindings.  It holds only the store handle and reads the store in each
@@ -115,8 +123,6 @@ class Registry:
         """Check the procedure and write it to the store."""
         if procedure.name in self._store.list_procedures():
             raise DuplicateProcedure(procedure.name)
-        if procedure.handler_id != LVM_HANDLER_ID:
-            raise UnknownHandler(procedure.handler_id)
         self._store.put_procedure(procedure)
 
     def bind(self, equipment: str, procedure: str, extension: str) -> ParsingBinding:
@@ -125,12 +131,12 @@ class Registry:
         model = self._store.get_equipment(equipment)
         if procedure not in self._store.list_procedures():
             raise UnknownProcedure(procedure)
-        ext = extension.lower()
-        if ext not in model.extensions:
-            raise ExtensionNotDeclared(f"{equipment} does not declare .{ext}")
-        if self._binding(equipment, ext) is not None:
-            raise DuplicateBinding(f"({equipment}, {ext})")
-        return ParsingBinding(binding_name(procedure, ext), equipment, procedure, ext)
+        binding = ParsingBinding(equipment, procedure, extension)
+        if binding.extension not in model.extensions:
+            raise ExtensionNotDeclared(f"{equipment} does not declare .{binding.extension}")
+        if self._binding(equipment, binding.extension) is not None:
+            raise DuplicateBinding(f"({equipment}, {binding.extension})")
+        return binding
 
     def resolve(self, equipment: str, filename: str) -> ParsingProcedure:
         """Procedure bound to (equipment, extension-of-filename).  Stored

@@ -600,6 +600,8 @@ def serialize_lvm(doc: LvmDocument) -> bytes:
         raise InvariantViolation("document has no segments")
 
     def check_text(text: str, what: str, allow_sep: bool = False):
+        if read_text(text) is None:
+            raise InvariantViolation(f"{what} is not UTF-8 text")
         if "\n" in text or "\r" in text:
             raise InvariantViolation(f"{what} contains a line break")
         if not allow_sep and sep in text:

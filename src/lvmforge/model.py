@@ -3,14 +3,15 @@
 An equipment is described once, as a set of typed parameters grouped into
 six concept categories (instrument setup, data, measurement information,
 experiment characterization, warnings, measured object).  Models are
-immutable; mutation helpers return updated copies.  The module also ships
+immutable and check themselves when built, so every layer accepts the same
+ones; ``dataclasses.replace`` gives a checked copy.  The module also ships
 the built-in SYTHERM thermocouple-ensemble model and the line-oriented
 definition-file format used to add equipment without programming.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
 from typing import Optional, Union
@@ -93,6 +94,9 @@ class ParameterDefinition:
             raise MissingEnumDomain(f"{self.name}: enum_domain only valid for Enumeration")
         if self.unit is not None and self.unit not in DEFAULT_UNITS:
             raise UnknownUnit(f"{self.name}: {self.unit!r} is not a known unit")
+        for value in self.enum_domain:
+            if "," in value:  # the store joins the domain with ','
+                raise InvariantViolation(f"{self.name}: enumeration value {value!r} contains ','")
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,24 @@ class EquipmentModel:
     extensions: frozenset[str] = frozenset()
     parameters: tuple[ParameterDefinition, ...] = ()
     ignored_file_keys: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        """Extensions are lower-cased, as resolve compares them.  The store
+        keeps extensions and ignored keys space-separated, so each is one
+        word; an extension holds no '.', or no file name would match it."""
+        if not self.name.strip():
+            raise EmptyName("equipment name must be non-empty")
+        names = [p.name for p in self.parameters]
+        if len(set(names)) != len(names):
+            duplicate = next(n for n in names if names.count(n) > 1)
+            raise DuplicateParameterName(f"{self.name}: {duplicate}")
+        object.__setattr__(self, "extensions", frozenset(e.lower() for e in self.extensions))
+        bad = [f"extension {e!r} is not one word without '.'"
+               for e in self.extensions if e.split() != [e] or "." in e]
+        bad += [f"ignored key {k!r} is not one word"
+                for k in self.ignored_file_keys if k.split() != [k]]
+        if bad:
+            raise InvariantViolation(f"{self.name}: {bad[0]}")
 
     def parameter(self, name: str) -> Optional[ParameterDefinition]:
         for p in self.parameters:
@@ -122,26 +144,6 @@ class EquipmentModel:
         return tuple(
             p for p in self.by_category(ConceptCategory.DATA) if p.name != "X_Value"
         )
-
-    def with_extension(self, extension: str) -> "EquipmentModel":
-        return replace(self, extensions=self.extensions | {extension.lower()})
-
-
-def define_equipment(name: str, producer: str = "", description: str = "",
-                     webpage: Optional[str] = None, picture: Optional[str] = None,
-                     visual_model: Optional[str] = None) -> EquipmentModel:
-    """Start a new, empty equipment model (no parameters, no extensions)."""
-    if not name or not name.strip():
-        raise EmptyName("equipment name must be non-empty")
-    return EquipmentModel(name=name, producer=producer, description=description,
-                          webpage=webpage, picture=picture, visual_model=visual_model)
-
-
-def add_parameter(model: EquipmentModel, definition: ParameterDefinition) -> EquipmentModel:
-    """Return a copy of the model with one more parameter appended."""
-    if model.parameter(definition.name) is not None:
-        raise DuplicateParameterName(f"{model.name}: {definition.name}")
-    return replace(model, parameters=model.parameters + (definition,))
 
 
 def builtin_sytherm(channel_count: int = 3) -> EquipmentModel:
@@ -278,10 +280,11 @@ _SOURCE_BY_NAME = {s.value: s for s in ParameterSource}
 
 
 def render_model_definition(model: EquipmentModel) -> str:
-    """Render a model as definition-file text (inverse of parse_model_definition)."""
+    """Render a model as definition-file text (inverse of parse_model_definition).
+    MalformedDefinition for text the parser would read back changed."""
     def clean(text: str, what: str) -> str:
-        if "\n" in text or "\r" in text:
-            raise MalformedDefinition(f"{what} contains a line break")
+        if "".join(text.splitlines()) != text or text != text.strip():
+            raise MalformedDefinition(f"{what} has a line break or surrounding whitespace")
         return text
 
     lines = [f"name: {clean(model.name, 'name')}"]
@@ -295,13 +298,12 @@ def render_model_definition(model: EquipmentModel) -> str:
     if model.ignored_file_keys:
         lines.append("ignored_keys: " + " ".join(sorted(model.ignored_file_keys)))
     for p in model.parameters:
-        if "|" in p.name or (p.unit and "|" in p.unit):
-            raise MalformedDefinition(f"parameter {p.name!r} contains '|'")
-        parts = [p.name, p.category.value, p.value_type.value, p.unit or "", p.source.value]
+        parts = [clean(p.name, "parameter name"), p.category.value, p.value_type.value,
+                 p.unit or "", p.source.value]
         if p.enum_domain:
-            if any("," in d or "|" in d for d in p.enum_domain):
-                raise MalformedDefinition(f"enum domain of {p.name!r} contains ',' or '|'")
-            parts.append(",".join(p.enum_domain))
+            parts.append(",".join(clean(d, f"enum value of {p.name!r}") for d in p.enum_domain))
+        if any("|" in part for part in parts):
+            raise MalformedDefinition(f"parameter {p.name!r} contains '|'")
         lines.append("param: " + "|".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -315,8 +317,7 @@ def parse_model_definition(text: str) -> EquipmentModel:
     """
     fields: dict[str, str] = {}
     params: list[ParameterDefinition] = []
-    extensions: set[str] = set()
-    ignored: set[str] = set()
+    words: dict[str, set[str]] = {"extensions": set(), "ignored_keys": set()}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -347,21 +348,14 @@ def parse_model_definition(text: str) -> EquipmentModel:
                 source=_SOURCE_BY_NAME[source],
                 enum_domain=domain,
             ))
-        elif key == "extensions":
-            extensions.update(e.lower() for e in value.split())
-        elif key == "ignored_keys":
-            ignored.update(value.split())
+        elif key in words:
+            words[key].update(value.split())
         elif key in ("name", "producer", "description", "webpage", "picture", "visual_model"):
             fields[key] = value
         else:
             raise MalformedDefinition(f"line {line_no}: unknown field {key!r}")
     if "name" not in fields:
         raise MalformedDefinition("definition is missing the 'name' field")
-    model = define_equipment(
-        fields["name"], fields.get("producer", ""), fields.get("description", ""),
-        fields.get("webpage"), fields.get("picture"), fields.get("visual_model"),
-    )
-    for p in params:
-        model = add_parameter(model, p)
-    return replace(model, extensions=frozenset(extensions),
-                   ignored_file_keys=frozenset(ignored))
+    return EquipmentModel(**fields, extensions=frozenset(words["extensions"]),
+                          parameters=tuple(params),
+                          ignored_file_keys=frozenset(words["ignored_keys"]))

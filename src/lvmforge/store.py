@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sqlite3
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from datetime import date as Date
 from datetime import datetime
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     DuplicateKey,
@@ -128,19 +127,18 @@ CREATE TABLE {} (
 ) WITHOUT ROWID;
 """
 
-_ENUM_TYPE_RE = re.compile(r"^Enumeration\((.*)\)$")
+_ENUM_PREFIX = "Enumeration("
 
 
 def _encode_type(definition: ParameterDefinition) -> str:
     if definition.value_type is ValueType.ENUMERATION:
-        return "Enumeration(" + ",".join(definition.enum_domain) + ")"
+        return _ENUM_PREFIX + ",".join(definition.enum_domain) + ")"
     return definition.value_type.value
 
 
 def _decode_type(text: str) -> tuple[ValueType, tuple[str, ...]]:
-    m = _ENUM_TYPE_RE.match(text)
-    if m:
-        return ValueType.ENUMERATION, tuple(m.group(1).split(","))
+    if text.startswith(_ENUM_PREFIX):  # a value holds no ',' but any other text
+        return ValueType.ENUMERATION, tuple(text[len(_ENUM_PREFIX):-1].split(","))
     return ValueType(text), ()
 
 
@@ -295,9 +293,8 @@ class Store:
         return EquipmentModel(
             name=row[1], producer=row[2], description=row[3], webpage=row[4],
             picture=row[5], visual_model=row[6],
-            extensions=frozenset(row[7].split()) if row[7] else frozenset(),
-            parameters=params,
-            ignored_file_keys=frozenset(row[8].split()) if row[8] else frozenset())
+            extensions=frozenset(row[7].split()), parameters=params,
+            ignored_file_keys=frozenset(row[8].split()))
 
     def list_equipment(self) -> list[str]:
         with _sqlite_errors(self._path):
@@ -347,10 +344,8 @@ class Store:
     def list_bindings(self) -> list[ParsingBinding]:
         with _sqlite_errors(self._path):
             return [
-                ParsingBinding(binding_name=r[0], equipment_name=r[1],
-                               procedure_name=r[2], extension=r[3])
-                for r in self._conn.execute(
-                    "SELECT e.efe_number, q.eqp_name, p.psf_name, e.efe_extension"
+                ParsingBinding(*r) for r in self._conn.execute(
+                    "SELECT q.eqp_name, p.psf_name, e.efe_extension"
                     " FROM t_efe_equipmentfileextension e"
                     " JOIN t_eqp_equipments q ON q.eqp_number = e.eqp_number"
                     " JOIN t_psf_parsingfunction p ON p.psf_number = e.psf_number"
@@ -453,8 +448,8 @@ class Store:
 
     def query(self, equipment: Optional[str] = None, operator: Optional[str] = None,
               parameter: Optional[tuple[ConceptCategory, str, str]] = None,
-              date_from: Optional[Union[Date, str]] = None,
-              date_to: Optional[Union[Date, str]] = None) -> list[RecordSummary]:
+              date_from: Optional[Date] = None,
+              date_to: Optional[Date] = None) -> list[RecordSummary]:
         """Record summaries matching all given filters, ordered by import time.
 
         ``parameter`` is (category, name, canonical value text); the date
@@ -480,7 +475,7 @@ class Store:
         for bound, op in ((date_from, ">="), (date_to, "<=")):
             if bound is not None:
                 sql.append(_has_value(f"p.prm_name = 'Date' AND v.val_text {op} ?"))
-                args.append(format_date(bound) if isinstance(bound, Date) else bound)
+                args.append(format_date(bound))
         sql.append("ORDER BY m.msr_imported_at, m.msr_number")
         with _sqlite_errors(self._path):
             return [

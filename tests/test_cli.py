@@ -89,6 +89,23 @@ def test_list_and_show(cli_with_sytherm):
     assert cli_with_sytherm("list", "--operator", "Nobody").out == ""
 
 
+def test_list_date_bounds_are_dates(cli_with_sytherm):
+    record_id = import_annex(cli_with_sytherm)  # dated 2013/02/06
+    for bound in ("2013-02-07", "yesterday", "2013/02/30"):
+        for option in ("--from", "--to"):
+            err = cli_with_sytherm("list", option, bound, expect=2).err
+            assert f"not a YYYY/MM/DD date: {bound!r}" in err
+    assert cli_with_sytherm("list", "--from", "2013/02/07").out == ""
+    listed = cli_with_sytherm("list", "--from", "2013/02/06", "--to", "2013/02/06").out
+    assert [line.split("\t")[0] for line in listed.splitlines()] == [record_id]
+
+
+def test_proc_add_refuses_an_empty_name(cli):
+    cli("init")
+    err = cli("proc", "add", "", expect=1).err
+    assert err.startswith("ERROR EmptyName: ")
+
+
 def test_edit_and_remove(cli_with_sytherm):
     record_id = import_annex(cli_with_sytherm)
     cli_with_sytherm("edit", record_id, "Operator", "Student1")

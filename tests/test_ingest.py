@@ -20,13 +20,14 @@ from lvmforge.errors import (
     ChannelCountMismatch,
     DuplicateBinding,
     DuplicateProcedure,
+    EmptyName,
     ExtensionNotDeclared,
     NoBinding,
     UnknownEquipment,
     UnknownHandler,
     UnknownProcedure,
 )
-from lvmforge.ingest import LVM_HANDLER_ID, binding_name
+from lvmforge.ingest import LVM_HANDLER_ID
 
 from docgen import random_document
 
@@ -56,6 +57,22 @@ def test_register_unknown_handler(store, registry):
     with pytest.raises(UnknownHandler, match="^builtin.mes$"):
         registry.register_procedure(ParsingProcedure("MES_PARSING", "builtin.mes"))
     assert store.list_procedures() == ["LVM_PARSING"]
+
+
+def test_procedure_checks_itself():
+    with pytest.raises(EmptyName, match="^procedure name must be non-empty$"):
+        ParsingProcedure("", LVM_HANDLER_ID)
+    with pytest.raises(UnknownHandler, match="^nonsense.handler$"):
+        ParsingProcedure("P", "nonsense.handler")
+
+
+def test_a_binding_put_with_an_upper_case_extension_resolves(store, registry):
+    binding = ParsingBinding("SYTHERM", "LVM_PARSING", "LVM")
+    assert (binding.extension, binding.binding_name) == ("lvm", "LVM_PARSING_LVM")
+    store.put_binding(binding)
+    assert registry.resolve("SYTHERM", "a.lvm").name == "LVM_PARSING"
+    with pytest.raises(DuplicateBinding, match=r"^\(SYTHERM, lvm\)$"):
+        registry.bind("SYTHERM", "LVM_PARSING", "lvm")
 
 
 def test_bind_canonical_name(registry):
@@ -101,7 +118,8 @@ def test_resolve_no_binding(store, registry):
 @given(st.from_regex(r"[A-Z]{2,12}_PARSING", fullmatch=True),
        st.from_regex(r"[a-z0-9]{1,6}", fullmatch=True))
 def test_binding_name_law(procedure, extension):
-    assert binding_name(procedure, extension) == procedure.upper() + "_" + extension.upper()
+    binding = ParsingBinding("SYTHERM", procedure, extension)
+    assert binding.binding_name == procedure.upper() + "_" + extension.upper()
 
 
 def test_map_annex_record(annex1_doc, sytherm3):
@@ -215,7 +233,7 @@ def test_registry_sees_a_binding_written_after_it_was_built(store, sytherm3):
     registry = Registry.from_store(store)
     with pytest.raises(NoBinding):
         registry.resolve("SYTHERM", "x.lvm")
-    store.put_binding(ParsingBinding("LVM_PARSING_LVM", "SYTHERM", "LVM_PARSING", "lvm"))
+    store.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
     assert registry.resolve("SYTHERM", "x.lvm").name == "LVM_PARSING"
 
 

@@ -257,6 +257,33 @@ def test_serializer_rejects_non_finite_values():
         serialize_lvm(doc)
 
 
+_LONE = "caf\udce9"  # what an undecodable byte becomes in str input
+
+
+@pytest.mark.parametrize("place", ["operator", "header key", "header value", "notes",
+                                   "segment key", "column name", "row comment"])
+def test_serializer_refuses_text_utf8_cannot_encode(place):
+    text = MINIMAL.replace("X_Value\tChannel 0", "X_Value\tChannel 0\tComment")
+    doc = parse_lvm(text + "0.0\t1.0\tfirst\n")
+    header, segment = doc.header, doc.segments[0]
+    if place == "operator":
+        doc = dataclasses.replace(doc, header=dataclasses.replace(header, operator=_LONE))
+    elif place == "header key":
+        header.extra_keys[_LONE] = "x"
+    elif place == "header value":
+        header.extra_keys["Project"] = _LONE
+    elif place == "notes":
+        segment.notes = _LONE
+    elif place == "segment key":
+        segment.extra_keys[_LONE] = "x"
+    elif place == "column name":
+        segment.column_names[1] = _LONE
+    else:
+        segment.rows[0] = DataRow(x=0.0, values=(1.0,), comment=_LONE)
+    with pytest.raises(InvariantViolation, match="not UTF-8 text"):
+        serialize_lvm(doc)
+
+
 def test_column_row_count_mismatch():
     bad = MINIMAL.replace("Channels\t1", "Channels\t2")
     with pytest.raises(ChannelCountMismatch) as info:

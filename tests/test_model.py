@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from datetime import date
 
@@ -7,14 +8,13 @@ from hypothesis import strategies as st
 
 from lvmforge import (
     ConceptCategory,
+    EquipmentModel,
     HighPrecisionTime,
     ParameterDefinition,
     ParameterSource,
     TypedValue,
     ValueType,
-    add_parameter,
     builtin_sytherm,
-    define_equipment,
     parse_lvm,
     parse_model_definition,
     render_canonical,
@@ -26,6 +26,7 @@ from lvmforge.errors import (
     DuplicateParameterName,
     EmptyName,
     InvalidChannelCount,
+    InvariantViolation,
     MalformedDefinition,
     MalformedNumber,
     MissingEnumDomain,
@@ -35,6 +36,7 @@ from lvmforge.errors import (
 from lvmforge.ingest import map_lvm_to_record
 from lvmforge.model import make_typed
 
+from conftest import equipment_models
 from docgen import random_document
 
 
@@ -45,7 +47,7 @@ def test_define_equipment_sytherm_fields(sytherm3):
 
 
 def test_define_equipment_minimal():
-    model = define_equipment("X")
+    model = EquipmentModel("X")
     assert model.name == "X"
     assert model.parameters == ()
     assert model.extensions == frozenset()
@@ -53,25 +55,57 @@ def test_define_equipment_minimal():
 
 def test_define_equipment_empty_name():
     with pytest.raises(EmptyName):
-        define_equipment("")
+        EquipmentModel("")
 
 
 def test_add_parameter_grouping():
-    model = define_equipment("E")
-    model = add_parameter(model, ParameterDefinition(
-        "Channels", ConceptCategory.EXPERIMENT_CHARACTERIZATION, ValueType.INTEGER))
-    model = add_parameter(model, ParameterDefinition(
-        "Operator", ConceptCategory.MEASUREMENT_INFORMATION, ValueType.STRING))
+    model = EquipmentModel("E", parameters=(
+        ParameterDefinition("Channels", ConceptCategory.EXPERIMENT_CHARACTERIZATION,
+                            ValueType.INTEGER),
+        ParameterDefinition("Operator", ConceptCategory.MEASUREMENT_INFORMATION,
+                            ValueType.STRING)))
     assert [p.name for p in model.by_category(ConceptCategory.EXPERIMENT_CHARACTERIZATION)] == ["Channels"]
     assert [p.name for p in model.by_category(ConceptCategory.MEASUREMENT_INFORMATION)] == ["Operator"]
 
 
 def test_add_parameter_duplicate():
-    model = define_equipment("E")
     definition = ParameterDefinition("P", ConceptCategory.DATA, ValueType.REAL)
-    model = add_parameter(model, definition)
+    model = EquipmentModel("E", parameters=(definition,))
     with pytest.raises(DuplicateParameterName):
-        add_parameter(model, definition)
+        dataclasses.replace(model, parameters=model.parameters + (definition,))
+
+
+_P = ParameterDefinition("P", ConceptCategory.DATA, ValueType.REAL)
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ({"name": ""}, EmptyName, "^equipment name must be non-empty$"),
+    ({"name": " \t"}, EmptyName, "^equipment name must be non-empty$"),
+    ({"parameters": (_P, _P)}, DuplicateParameterName, "^E: P$"),
+    ({"extensions": frozenset({"l vm"})}, InvariantViolation, "^E: extension 'l vm' "),
+    ({"extensions": frozenset({"", "lvm"})}, InvariantViolation, "^E: extension '' "),
+    ({"extensions": frozenset({"tar.gz"})}, InvariantViolation, "^E: extension 'tar.gz' "),
+    ({"ignored_file_keys": frozenset({"Writer Version"})}, InvariantViolation,
+     "^E: ignored key 'Writer Version' "),
+    ({"ignored_file_keys": frozenset({""})}, InvariantViolation, "^E: ignored key '' "),
+])
+def test_equipment_model_checks_its_invariants(fields, error, message):
+    with pytest.raises(error, match=message):
+        EquipmentModel(**{"name": "E", **fields})
+    with pytest.raises(error, match=message):  # replace builds a model too
+        dataclasses.replace(EquipmentModel("E"), **fields)
+
+
+def test_equipment_model_lower_cases_its_extensions():
+    assert EquipmentModel("E", extensions=frozenset({"LVM"})).extensions == {"lvm"}
+    model = dataclasses.replace(builtin_sytherm(1), extensions=frozenset({"Lvm", "MES"}))
+    assert model.extensions == frozenset({"lvm", "mes"})
+
+
+def test_enumeration_value_holds_no_comma():
+    with pytest.raises(InvariantViolation, match="^Sep: enumeration value 'a,b' contains ','$"):
+        ParameterDefinition("Sep", ConceptCategory.DATA, ValueType.ENUMERATION,
+                            enum_domain=("a,b", "c"))
 
 
 def test_enum_requires_domain():
@@ -280,18 +314,45 @@ def test_definition_roundtrip_sytherm(sytherm3):
 
 
 def test_definition_roundtrip_custom():
-    model = define_equipment("Hysterezisgraph", "MagLab", "hysteresis bench",
-                             webpage="http://example.org/h")
-    model = add_parameter(model, ParameterDefinition(
-        "Mode", ConceptCategory.INSTRUMENT_SETUP, ValueType.ENUMERATION,
-        source=ParameterSource.KEYBOARD, enum_domain=("AC", "DC")))
-    model = add_parameter(model, ParameterDefinition(
-        "Field", ConceptCategory.DATA, ValueType.REAL, unit="Tesla"))
-    model = model.with_extension("MES").with_extension("coi")
+    model = EquipmentModel(
+        "Hysterezisgraph", "MagLab", "hysteresis bench", webpage="http://example.org/h",
+        extensions=frozenset({"MES", "coi"}), parameters=(
+            ParameterDefinition("Mode", ConceptCategory.INSTRUMENT_SETUP,
+                                ValueType.ENUMERATION, source=ParameterSource.KEYBOARD,
+                                enum_domain=("AC", "DC")),
+            ParameterDefinition("Field", ConceptCategory.DATA, ValueType.REAL,
+                                unit="Tesla")))
     text = render_model_definition(model)
     parsed = parse_model_definition(text)
     assert parsed == model
     assert parsed.extensions == frozenset({"mes", "coi"})
+
+
+@pytest.mark.parametrize("field", ["producer", "name", "parameter", "enum value"])
+def test_render_refuses_text_the_parser_would_strip(field):
+    mode = ParameterDefinition("Mode", ConceptCategory.INSTRUMENT_SETUP,
+                               ValueType.ENUMERATION, enum_domain=("a", "b"))
+    model = EquipmentModel("A", producer="x", parameters=(mode,))
+    changed = {
+        "producer": {"producer": " x "},
+        "name": {"name": " A"},
+        "parameter": {"parameters": (dataclasses.replace(mode, name=" p"),)},
+        "enum value": {"parameters": (dataclasses.replace(mode, enum_domain=(" a", "b")),)},
+    }[field]
+    render_model_definition(model)
+    with pytest.raises(MalformedDefinition, match="surrounding whitespace"):
+        render_model_definition(dataclasses.replace(model, **changed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(equipment_models())
+@example(EquipmentModel("A", description="a\x85b"))
+def test_definition_roundtrip_whenever_rendering_succeeds(model):
+    try:
+        text = render_model_definition(model)
+    except MalformedDefinition:
+        return
+    assert parse_model_definition(text) == model
 
 
 @pytest.mark.parametrize("line", [

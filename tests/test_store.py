@@ -3,7 +3,8 @@ import json
 import random
 import re
 import sqlite3
-from datetime import datetime
+import tempfile
+from datetime import date, datetime
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from lvmforge import (
     ChannelSeries,
     ConceptCategory,
+    EquipmentModel,
     MeasurementRecord,
+    ParameterDefinition,
     ParsingBinding,
     ParsingProcedure,
     Registry,
@@ -37,7 +40,10 @@ from lvmforge.errors import (
     UnknownParameter,
 )
 from lvmforge.ingest import LVM_HANDLER_ID
+from lvmforge.lvm import read_text
 from lvmforge.store import Store
+
+from conftest import equipment_models
 
 EXPECTED_TABLES = {
     "t_eqp_equipments", "t_psf_parsingfunction", "t_efe_equipmentfileextension",
@@ -132,9 +138,32 @@ def test_equipment_roundtrip(store, sytherm3):
     assert store.get_equipment("SYTHERM") == sytherm3
 
 
+@settings(max_examples=200, deadline=None)
+@given(equipment_models())
+@example(EquipmentModel("E", parameters=(ParameterDefinition(
+    "Mode", ConceptCategory.DATA, ValueType.ENUMERATION, enum_domain=("a\nb", ")")),)))
+@example(EquipmentModel(".", description="\ud800"))
+def test_every_model_that_constructs_reads_back(model):
+    """The store gives back every model it takes.  It takes every model
+    that constructs, except one holding text UTF-8 cannot encode (a lone
+    surrogate), which it refuses whole with a StorageError."""
+    texts = [model.name, model.producer, model.description, model.webpage or "",
+             model.picture or "", model.visual_model or "", *model.extensions,
+             *model.ignored_file_keys,
+             *(text for p in model.parameters for text in (p.name, *p.enum_domain))]
+    with tempfile.TemporaryDirectory() as work, init_schema(f"{work}/store.db") as store:
+        if any(read_text(text) is None for text in texts):
+            with pytest.raises(StorageError):
+                store.put_equipment(model)
+            assert store.list_equipment() == []
+        else:
+            store.put_equipment(model)
+            assert store.get_equipment(model.name) == model
+
+
 def test_binding_before_procedure(store, sytherm3):
     store.put_equipment(sytherm3)
-    binding = ParsingBinding("LVM_PARSING_LVM", "SYTHERM", "LVM_PARSING", "lvm")
+    binding = ParsingBinding("SYTHERM", "LVM_PARSING", "lvm")
     with pytest.raises(ForeignKeyViolation):
         store.put_binding(binding)
 
@@ -142,7 +171,7 @@ def test_binding_before_procedure(store, sytherm3):
 def test_binding_roundtrip(store, sytherm3):
     store.put_equipment(sytherm3)
     store.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
-    binding = ParsingBinding("LVM_PARSING_LVM", "SYTHERM", "LVM_PARSING", "lvm")
+    binding = ParsingBinding("SYTHERM", "LVM_PARSING", "lvm")
     assert store.put_binding(binding) == "LVM_PARSING_LVM"
     assert store.list_bindings() == [binding]
     with pytest.raises(DuplicateKey):
@@ -296,9 +325,9 @@ def test_query_filters(store, sytherm3, annex_record):
     assert [s.record_id for s in store.query(operator="Profesor")] == [msr]
     assert store.query(operator="Nobody") == []
     assert [s.record_id for s in store.query(equipment="SYTHERM",
-                                             date_from="2013/02/06",
-                                             date_to="2013/02/06")] == [msr]
-    assert store.query(date_to="2013/02/05") == []
+                                             date_from=date(2013, 2, 6),
+                                             date_to=date(2013, 2, 6))] == [msr]
+    assert store.query(date_to=date(2013, 2, 5)) == []
     assert store.query(equipment="OTHER") == []
     param = (ConceptCategory.EXPERIMENT_CHARACTERIZATION, "Channels", "3")
     assert [s.record_id for s in store.query(parameter=param)] == [msr]
@@ -378,7 +407,7 @@ def test_query_matches_brute_force(store, sytherm3, annex1_doc):
         keep = []
         for i, r in sorted(records.items()):
             op = r.get_value(mi, "Operator")
-            dt = render_canonical(r.values[mi]["Date"])
+            dt = r.get_value(mi, "Date")
             if operator is not None and op != operator:
                 continue
             if date_from is not None and dt < date_from:
@@ -389,9 +418,10 @@ def test_query_matches_brute_force(store, sytherm3, annex1_doc):
         return [i for _, i in sorted(keep)]
 
     for kwargs in ({"operator": "Profesor"},
-                   {"date_from": "2013/02/03"},
-                   {"date_to": "2013/02/05"},
-                   {"operator": "Student1", "date_from": "2013/02/02", "date_to": "2013/02/08"}):
+                   {"date_from": date(2013, 2, 3)},
+                   {"date_to": date(2013, 2, 5)},
+                   {"operator": "Student1", "date_from": date(2013, 2, 2),
+                    "date_to": date(2013, 2, 8)}):
         assert [s.record_id for s in store.query(**kwargs)] == brute(**kwargs), kwargs
 
 
@@ -406,7 +436,7 @@ _STORE_CALLS = {
         ParsingProcedure("OTHER", LVM_HANDLER_ID)),
     "list_procedures": lambda s, r, msr: s.list_procedures(),
     "put_binding": lambda s, r, msr: s.put_binding(
-        ParsingBinding("LVM_PARSING_LVM", "SYTHERM", "LVM_PARSING", "lvm")),
+        ParsingBinding("SYTHERM", "LVM_PARSING", "lvm")),
     "list_bindings": lambda s, r, msr: s.list_bindings(),
     "put_measurement": lambda s, r, msr: s.put_measurement(r),
     "get_measurement": lambda s, r, msr: s.get_measurement(msr),
@@ -658,7 +688,7 @@ def test_series_reads_and_delete_sort_nothing(store, sytherm3, annex_record):
 def test_lone_surrogate_text_is_a_storage_error(tmp_path, store, sytherm3, annex1_bytes):
     store.put_equipment(sytherm3)
     store.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
-    store.put_binding(ParsingBinding("LVM_PARSING_LVM", "SYTHERM", "LVM_PARSING", "lvm"))
+    store.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
     registry = Registry.from_store(store)
     # an undecodable byte in a file name reads as a lone surrogate
     source = tmp_path / "caf\udce9.lvm"
