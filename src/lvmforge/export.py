@@ -7,9 +7,11 @@ shortest round-trip form (see :func:`lvmforge.model.render_canonical`).
 Timestamps are ISO 8601, and identical records produce byte-identical
 output.
 
-Both formats are written in one pass over the record, in time linear in
-rows × channels.  The XML is written as text, in exactly the bytes that
-``xml.etree.ElementTree`` gives for the same tree after ``ET.indent``.
+Both formats are written in time linear in rows × channels.  The XML is
+written as text, in exactly the bytes that ``xml.etree.ElementTree`` gives
+for the same tree after ``ET.indent``.  The CSV series rows skip
+``csv.writer``: a ``%.6f`` number holds only digits, ``-`` and ``.``, and a
+row's x cell is never empty, so no cell of theirs needs quoting.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import csv
 import io
 
 from .ingest import MeasurementRecord
-from .lvm import FIXED6, format_fixed6
+from .lvm import FIXED6
 from .model import ConceptCategory, render_canonical
 
 _DECLARATION = "<?xml version='1.0' encoding='utf-8'?>"
@@ -100,14 +102,14 @@ def export_csv(record: MeasurementRecord) -> bytes:
     if record.series:
         writer.writerow([])
         writer.writerow(["X_Value"] + [s.name for s in record.series])
-        # one x -> y map per channel; a repeated x keeps its last y
-        columns = [dict(series.points) for series in record.series]
-        for x in _abscissae(record):
-            row = [format_fixed6(x)]
-            for column in columns:
-                y = column.get(x)
-                row.append("" if y is None else format_fixed6(y))
-            writer.writerow(row)
+        # column-wise: each number is formatted once, and each channel's
+        # x -> y text map keeps the last y of a repeated x
+        xs = _abscissae(record)
+        cells = [[FIXED6 % x for x in xs]]
+        for series in record.series:
+            ys = {x: FIXED6 % y for x, y in series.points}
+            cells.append([ys.get(x, "") for x in xs])
+        buffer.writelines(row + "\n" for row in map(",".join, zip(*cells)))
     return buffer.getvalue().encode("utf-8")
 
 
@@ -116,8 +118,4 @@ def _abscissae(record: MeasurementRecord) -> list[float]:
     xs = [x for x, _ in record.series[0].points]
     if all([x for x, _ in s.points] == xs for s in record.series[1:]):
         return xs
-    merged: dict[float, None] = {}
-    for series in record.series:
-        for x, _ in series.points:
-            merged.setdefault(x)
-    return list(merged)
+    return list(dict.fromkeys(x for series in record.series for x, _ in series.points))

@@ -11,7 +11,8 @@ The schema follows the t_<code>_<name> / <code>_number naming convention:
                                 lists its series' prm_numbers in record order
     t_val_values                canonical text rendering of each parameter value
     t_ser_series                one (index, x, y) row per series point, clustered
-                                by (msr_number, prm_number, ser_index)
+                                by (msr_number, prm_number, ser_index); a series
+                                reads back as one key range of (x, y) row tuples
 
 Values are stored in their canonical text form (see
 :func:`lvmforge.model.render_canonical`); put_measurement refuses a value
@@ -33,12 +34,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date as Date
 from datetime import datetime
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain
 from typing import Optional
 
 from .errors import (
     DuplicateKey,
+    ExtensionNotDeclared,
     ForeignKeyViolation,
     NotFound,
     SchemaVersionMismatch,
@@ -327,13 +328,17 @@ class Store:
                 "SELECT psf_name FROM t_psf_parsingfunction ORDER BY psf_number")]
 
     def put_binding(self, binding: ParsingBinding) -> str:
-        """Insert the link row; returns efe_number (the binding name)."""
+        """Insert the link row; returns efe_number (the binding name).  Raises
+        ExtensionNotDeclared, as Registry.bind does, for an undeclared extension."""
         with self._transaction() as conn:
             eqp = self._number("t_eqp_equipments", "eqp", binding.equipment_name)
             psf = self._number("t_psf_parsingfunction", "psf", binding.procedure_name)
             if eqp is None or psf is None:
                 missing = binding.equipment_name if eqp is None else binding.procedure_name
                 raise ForeignKeyViolation(f"binding references missing {missing!r}")
+            if binding.extension not in self.get_equipment(binding.equipment_name).extensions:
+                raise ExtensionNotDeclared(
+                    f"{binding.equipment_name} does not declare .{binding.extension}")
             conn.execute(
                 "INSERT INTO t_efe_equipmentfileextension"
                 " (efe_number, eqp_number, psf_number, efe_extension)"
@@ -417,8 +422,7 @@ class Store:
                 " WHERE m.msr_number = ?", (msr_number,)).fetchone()
             if row is None:
                 raise NotFound(f"measurement {msr_number}")
-            params = self._parameter_ids(row[0])
-            by_id = {number: definition for number, definition in params.values()}
+            by_id = dict(self._parameter_ids(row[0]).values())
             record = MeasurementRecord(
                 equipment_name=row[1],
                 imported_at=datetime.fromisoformat(row[2]),
@@ -433,17 +437,14 @@ class Store:
                 definition = by_id[prm_number]
                 record.set_value(definition.category, definition.name,
                                  make_typed(definition, text))
-            # read in primary-key order (no sort), grouped straight off the
-            # cursor, each group a tuple built from a list: a fetchall() first
-            # or a generator read measurably slower
-            points = {prm_number: tuple([(x, y) for _, x, y in rows])
-                      for prm_number, rows in groupby(self._conn.execute(
-                          "SELECT prm_number, ser_x, ser_y FROM t_ser_series"
-                          " WHERE msr_number = ? ORDER BY prm_number, ser_index",
-                          (msr_number,)), itemgetter(0))}
+            # one primary-key range read per series (no sort); the rows
+            # sqlite3 builds in C are the (x, y) points themselves
             for prm_number in json.loads(row[6]):
                 d = by_id[prm_number]
-                record.series.append(ChannelSeries(d.name, d.unit, points.get(prm_number, ())))
+                points = tuple(self._conn.execute(
+                    "SELECT ser_x, ser_y FROM t_ser_series WHERE msr_number = ?"
+                    " AND prm_number = ? ORDER BY ser_index", (msr_number, prm_number)).fetchall())
+                record.series.append(ChannelSeries(d.name, d.unit, points))
         return record
 
     def query(self, equipment: Optional[str] = None, operator: Optional[str] = None,

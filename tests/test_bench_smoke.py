@@ -2,7 +2,9 @@
 
 perfbench/ builds procedures and bindings through the public API, so a
 change to those types that breaks the benchmark fails here, not only when
-the benchmark is run.  The run happens in a copy of src/, perfbench/ and
+the benchmark is run.  The export_read run also checks what the read path
+gives back: CSV and XML exports of stored records and the time constants
+fitted to them.  Each run happens in a copy of src/, perfbench/ and
 the Annex-1 fixture, so it writes nothing into the checkout.
 """
 
@@ -17,17 +19,26 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_lab_session_run_is_correct(tmp_path):
+def _run_is_correct(workload, tmp_path):
     pytest.importorskip("numpy", reason="perfbench needs the bench extra (numpy)")
     shutil.copytree(ROOT / "src", tmp_path / "src")
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench")
     (tmp_path / "tests" / "data").mkdir(parents=True)
     shutil.copy(ROOT / "tests" / "data" / "annex1.lvm", tmp_path / "tests" / "data")
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "lab_session",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0.5"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr or done.stdout
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_lab_session_run_is_correct(tmp_path):
+    _run_is_correct("lab_session", tmp_path)
+
+
+def test_export_read_run_is_correct(tmp_path):
+    """Reads, CSV/XML exports and tau checks of preloaded records."""
+    _run_is_correct("export_read", tmp_path)
