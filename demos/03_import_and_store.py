@@ -1,4 +1,4 @@
-"""The full ingestion path: registry dispatch, import, query, edit.
+"""The full ingestion path: dispatch through the store, import, query, edit.
 
 A parsing procedure is bound to an (equipment, extension) pair in the
 store; importing a file resolves the procedure from the filename, maps the
@@ -13,8 +13,8 @@ from pathlib import Path
 from lvmforge import (
     ConceptCategory,
     HighPrecisionTime,
+    ParsingBinding,
     ParsingProcedure,
-    Registry,
     StepResponse,
     builtin_sytherm,
     gen_lvm,
@@ -40,22 +40,22 @@ lvm_path = workdir / "run1.lvm"
 lvm_path.write_bytes(serialize_lvm(doc))
 
 # Store setup: the SYTHERM model, the LVM_PARSING procedure, one binding.
-# The registry holds no copy of them: each of its rules reads the store.
-# The binding's name is derived from it by the PROCEDURE_EXT convention.
+# The store checks each write (a taken name, an undeclared or already bound
+# extension) and resolves a file name to its procedure.  The binding's name
+# is derived from it by the PROCEDURE_EXT convention.
 store = init_schema(workdir / "lab.db")
 store.put_equipment(builtin_sytherm(3))
-registry = Registry.from_store(store)
-registry.register_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
-binding = registry.bind("SYTHERM", "LVM_PARSING", "lvm")
+store.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
+binding = ParsingBinding("SYTHERM", "LVM_PARSING", "lvm")
 store.put_binding(binding)
 print("binding:", binding.binding_name)
-print("resolve run1.lvm ->", registry.resolve("SYTHERM", "run1.lvm").name)
+print("resolve run1.lvm ->", store.resolve("SYTHERM", "run1.lvm").name)
 try:
-    registry.resolve("SYTHERM", "run1.csv")
+    store.resolve("SYTHERM", "run1.csv")
 except NoBinding as exc:
     print("resolve run1.csv ->", type(exc).__name__, "-", exc)
 
-record_id = import_file(lvm_path, "SYTHERM", registry, store)
+record_id = import_file(lvm_path, "SYTHERM", None, store)
 print("imported record:", record_id)
 
 record = store.get_measurement(record_id)

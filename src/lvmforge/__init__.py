@@ -21,7 +21,6 @@ from .ingest import (
     MeasurementRecord,
     ParsingBinding,
     ParsingProcedure,
-    Registry,
     import_file,
     map_lvm_to_record,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "ParsingBinding",
     "ParsingProcedure",
     "RecordSummary",
-    "Registry",
     "Separator",
     "StepResponse",
     "Store",

@@ -20,7 +20,7 @@ from datetime import date, datetime
 
 from . import analysis, export as export_mod, store as store_mod
 from .errors import IndexOutOfRange, LvmforgeError
-from .ingest import ParsingProcedure, Registry, LVM_HANDLER_ID, import_file
+from .ingest import LVM_HANDLER_ID, ParsingBinding, ParsingProcedure, import_file
 from .lvm import HighPrecisionTime, read_date, read_text, serialize_lvm
 from .model import (
     ConceptCategory,
@@ -227,15 +227,14 @@ def _cmd_model_sytherm(args) -> int:
 def _cmd_proc_add(args) -> int:
     procedure = ParsingProcedure(args.name, LVM_HANDLER_ID)
     with _open_store(args) as store:
-        Registry.from_store(store).register_procedure(procedure)
+        store.put_procedure(procedure)
     print(procedure.name)
     return 0
 
 
 def _cmd_bind(args) -> int:
+    binding = ParsingBinding(args.equipment, args.procedure, args.extension)
     with _open_store(args) as store:
-        registry = Registry.from_store(store)
-        binding = registry.bind(args.equipment, args.procedure, args.extension)
         store.put_binding(binding)
     print(binding.binding_name)
     return 0
@@ -243,8 +242,7 @@ def _cmd_bind(args) -> int:
 
 def _cmd_import(args) -> int:
     with _open_store(args) as store:
-        registry = Registry.from_store(store)
-        record_id = import_file(args.file, args.equipment, registry, store)
+        record_id = import_file(args.file, args.equipment, None, store)
     print(record_id)
     return 0
 

@@ -92,39 +92,6 @@ class MalformedDefinition(LvmforgeError):
     """An equipment definition file could not be parsed."""
 
 
-# --- ingest registry ------------------------------------------------------
-
-class DuplicateProcedure(LvmforgeError):
-    pass
-
-
-class UnknownHandler(LvmforgeError):
-    pass
-
-
-class DuplicateBinding(LvmforgeError):
-    pass
-
-
-class UnknownEquipment(LvmforgeError):
-    pass
-
-
-class UnknownProcedure(LvmforgeError):
-    pass
-
-
-class ExtensionNotDeclared(LvmforgeError):
-    pass
-
-
-class NoBinding(LvmforgeError):
-    def __init__(self, equipment: str, extension: str):
-        self.equipment = equipment
-        self.extension = extension
-        super().__init__(f"no parsing procedure bound to ({equipment!r}, {extension!r})")
-
-
 # --- store ----------------------------------------------------------------
 
 class StorageError(LvmforgeError):
@@ -153,6 +120,39 @@ class UnknownParameter(StorageError):
 
 class NotFound(StorageError):
     pass
+
+
+# --- dispatch: procedures and bindings, checked by the store ----------------
+
+class DuplicateProcedure(DuplicateKey):
+    pass
+
+
+class UnknownHandler(LvmforgeError):
+    pass
+
+
+class DuplicateBinding(DuplicateKey):
+    pass
+
+
+class UnknownEquipment(LvmforgeError):
+    pass
+
+
+class UnknownProcedure(ForeignKeyViolation):
+    pass
+
+
+class ExtensionNotDeclared(LvmforgeError):
+    pass
+
+
+class NoBinding(LvmforgeError):
+    def __init__(self, equipment: str, extension: str):
+        self.equipment = equipment
+        self.extension = extension
+        super().__init__(f"no parsing procedure bound to ({equipment!r}, {extension!r})")
 
 
 # --- analysis ---------------------------------------------------------------

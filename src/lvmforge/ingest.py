@@ -1,4 +1,4 @@
-"""Parsing-procedure registry and the file-to-record import workflow.
+"""Parsing procedures and bindings, and the file-to-record import workflow.
 
 A parsing procedure is a named parser implementation; a binding attaches
 one to an (equipment, file extension) pair, realizing the many-to-many
@@ -6,12 +6,11 @@ relation between equipments and procedures.  A binding's name is derived
 by the PROCEDURE_EXT convention, e.g. LVM_PARSING bound to "lvm" is
 LVM_PARSING_LVM.
 
-Equipments, procedures and bindings live in the store alone.  Registry
-is the set of rules over them (a procedure's name is new, a binding's
-extension is declared and not yet bound, a file's extension is bound) and
-reads the store each time it applies one.  The .lvm parser is the only
-implementation: every procedure names it by ``LVM_HANDLER_ID``, and a
-procedure with any other handler id cannot be built.
+Equipments, procedures and bindings live in the store alone, and the store
+applies every dispatch rule over them (Store.put_procedure, put_binding,
+resolve).  The .lvm parser is the only implementation: every procedure
+names it by ``LVM_HANDLER_ID``, and a procedure with any other handler id
+cannot be built.
 """
 
 from __future__ import annotations
@@ -21,16 +20,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
 
-from .errors import (
-    ChannelCountMismatch,
-    DuplicateBinding,
-    DuplicateProcedure,
-    EmptyName,
-    ExtensionNotDeclared,
-    NoBinding,
-    UnknownHandler,
-    UnknownProcedure,
-)
+from .errors import ChannelCountMismatch, EmptyName, ExtensionNotDeclared, UnknownHandler
 from .lvm import (
     LvmDocument,
     channel_series,
@@ -104,52 +94,17 @@ class MeasurementRecord:
 
 
 class Registry:
-    """The dispatch rules over the store's equipments, procedures and
-    bindings.  It holds only the store handle and reads the store in each
-    rule, so it sees a binding written after it was built."""
-
-    def __init__(self, store):
-        self._store = store
+    """Remnant of the dispatch rules, which the store now applies; kept
+    only for callers not yet moved to the Store methods."""
 
     @classmethod
     def from_store(cls, store) -> "Registry":
-        """The registry over store; runs no query."""
-        return cls(store)
-
-    def get_equipment(self, name: str) -> EquipmentModel:
-        return self._store.get_equipment(name)
-
-    def register_procedure(self, procedure: ParsingProcedure) -> None:
-        """Check the procedure and write it to the store."""
-        if procedure.name in self._store.list_procedures():
-            raise DuplicateProcedure(procedure.name)
-        self._store.put_procedure(procedure)
+        return cls()
 
     def bind(self, equipment: str, procedure: str, extension: str) -> ParsingBinding:
-        """The checked binding of procedure to (equipment, extension); the
-        caller writes it with Store.put_binding."""
-        model = self._store.get_equipment(equipment)
-        if procedure not in self._store.list_procedures():
-            raise UnknownProcedure(procedure)
-        binding = ParsingBinding(equipment, procedure, extension)
-        if binding.extension not in model.extensions:
-            raise ExtensionNotDeclared(f"{equipment} does not declare .{binding.extension}")
-        if self._binding(equipment, binding.extension) is not None:
-            raise DuplicateBinding(f"({equipment}, {binding.extension})")
-        return binding
-
-    def resolve(self, equipment: str, filename: str) -> ParsingProcedure:
-        """Procedure bound to (equipment, extension-of-filename).  Stored
-        procedures all name the .lvm parser, the only implementation."""
-        ext = os.path.splitext(filename)[1].lstrip(".").lower()
-        binding = self._binding(equipment, ext)
-        if binding is None:
-            raise NoBinding(equipment, ext)
-        return ParsingProcedure(binding.procedure_name, LVM_HANDLER_ID)
-
-    def _binding(self, equipment: str, ext: str) -> Optional[ParsingBinding]:
-        return next((b for b in self._store.list_bindings()
-                     if (b.equipment_name, b.extension) == (equipment, ext)), None)
+        """The binding of procedure to (equipment, extension), unchecked:
+        Store.put_binding checks it when it writes it."""
+        return ParsingBinding(equipment, procedure, extension)
 
 
 def map_lvm_to_record(doc: LvmDocument, model: EquipmentModel,
@@ -220,11 +175,13 @@ def map_lvm_to_record(doc: LvmDocument, model: EquipmentModel,
     return record
 
 
-def import_file(path, equipment: str, registry: Registry, store) -> int:
-    """Parse one measurement file, map it and persist it; returns the record id."""
+def import_file(path, equipment: str, registry, store) -> int:
+    """Parse one measurement file, map it and persist it; returns the record
+    id.  NoBinding unless the file's extension is bound for the equipment.
+    registry is not read: callers pass None."""
     filename = os.path.basename(str(path))
-    registry.resolve(equipment, filename)  # NoBinding unless bound
-    model = registry.get_equipment(equipment)
+    store.resolve(equipment, filename)
+    model = store.get_equipment(equipment)
     with open(path, "rb") as handle:
         data = handle.read()
     record = map_lvm_to_record(parse_lvm(data), model, source_file=filename)

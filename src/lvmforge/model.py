@@ -114,9 +114,23 @@ class EquipmentModel:
     def __post_init__(self):
         """Extensions are lower-cased, as resolve compares them.  The store
         keeps extensions and ignored keys space-separated, so each is one
-        word; an extension holds no '.', or no file name would match it."""
+        word; an extension holds no '.', or no file name would match it.  No
+        text holds what the definition file would change (a line break,
+        surrounding whitespace, a '|' in a parameter), so every model renders
+        and parses back."""
         if not self.name.strip():
             raise EmptyName("equipment name must be non-empty")
+        texts = [(getattr(self, field), field) for field in
+                 ("name", "producer", "description", "webpage", "picture", "visual_model")]
+        for p in self.parameters:
+            texts += [(p.name, "parameter name"), *((v, f"enum value of {p.name!r}")
+                                                    for v in p.enum_domain)]
+        for text, what in texts:
+            if text is not None and ("".join(text.splitlines()) != text or text != text.strip()):
+                raise MalformedDefinition(f"{what} has a line break or surrounding whitespace")
+        for p in self.parameters:
+            if any("|" in text for text in (p.name, *p.enum_domain)):
+                raise MalformedDefinition(f"parameter {p.name!r} contains '|'")
         names = [p.name for p in self.parameters]
         if len(set(names)) != len(names):
             duplicate = next(n for n in names if names.count(n) > 1)
@@ -280,30 +294,20 @@ _SOURCE_BY_NAME = {s.value: s for s in ParameterSource}
 
 
 def render_model_definition(model: EquipmentModel) -> str:
-    """Render a model as definition-file text (inverse of parse_model_definition).
-    MalformedDefinition for text the parser would read back changed."""
-    def clean(text: str, what: str) -> str:
-        if "".join(text.splitlines()) != text or text != text.strip():
-            raise MalformedDefinition(f"{what} has a line break or surrounding whitespace")
-        return text
-
-    lines = [f"name: {clean(model.name, 'name')}"]
-    lines.append(f"producer: {clean(model.producer, 'producer')}")
-    lines.append(f"description: {clean(model.description, 'description')}")
+    """Render a model as definition-file text (inverse of parse_model_definition)."""
+    lines = [f"name: {model.name}", f"producer: {model.producer}",
+             f"description: {model.description}"]
     for key, value in (("webpage", model.webpage), ("picture", model.picture),
                        ("visual_model", model.visual_model)):
         if value is not None:
-            lines.append(f"{key}: {clean(value, key)}")
+            lines.append(f"{key}: {value}")
     lines.append("extensions: " + " ".join(sorted(model.extensions)))
     if model.ignored_file_keys:
         lines.append("ignored_keys: " + " ".join(sorted(model.ignored_file_keys)))
     for p in model.parameters:
-        parts = [clean(p.name, "parameter name"), p.category.value, p.value_type.value,
-                 p.unit or "", p.source.value]
+        parts = [p.name, p.category.value, p.value_type.value, p.unit or "", p.source.value]
         if p.enum_domain:
-            parts.append(",".join(clean(d, f"enum value of {p.name!r}") for d in p.enum_domain))
-        if any("|" in part for part in parts):
-            raise MalformedDefinition(f"parameter {p.name!r} contains '|'")
+            parts.append(",".join(p.enum_domain))
         lines.append("param: " + "|".join(parts))
     return "\n".join(lines) + "\n"
 

@@ -17,10 +17,11 @@ The schema follows the t_<code>_<name> / <code>_number naming convention:
 Values are stored in their canonical text form (see
 :func:`lvmforge.model.render_canonical`); put_measurement refuses a value
 that validate_value does not read back from that text as the same value,
-so put followed by get reconstructs an equal record.  All writes are
-transactional; the engine is SQLite (single writer, many readers).  This
-is schema version 2; init_schema migrates a version-1 store (t_ser_series
-as a rowid table, no msr_series) on open.
+so put followed by get reconstructs an equal record.  put_procedure,
+put_binding and resolve apply every dispatch rule over procedures and
+bindings.  All writes are transactional; the engine is SQLite (single
+writer, many readers).  This is schema version 2; init_schema migrates a
+version-1 store (t_ser_series as a rowid table, no msr_series) on open.
 Every SQLite failure, at open time or later, surfaces as a
 :class:`~lvmforge.errors.StorageError` (see _sqlite_errors).
 """
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sqlite3
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -38,17 +40,22 @@ from itertools import chain
 from typing import Optional
 
 from .errors import (
+    DuplicateBinding,
     DuplicateKey,
+    DuplicateProcedure,
     ExtensionNotDeclared,
     ForeignKeyViolation,
+    NoBinding,
     NotFound,
     SchemaVersionMismatch,
     StorageUnavailable,
     TypeMismatch,
     UnknownEquipment,
     UnknownParameter,
+    UnknownProcedure,
 )
-from .ingest import ChannelSeries, MeasurementRecord, ParsingBinding, ParsingProcedure
+from .ingest import (LVM_HANDLER_ID, ChannelSeries, MeasurementRecord, ParsingBinding,
+                     ParsingProcedure)
 from .lvm import format_date
 from .model import (
     ConceptCategory,
@@ -317,10 +324,14 @@ class Store:
     # -- procedures and bindings ---------------------------------------------
 
     def put_procedure(self, procedure: ParsingProcedure) -> int:
+        """Insert the procedure; returns psf_number.  DuplicateProcedure if taken."""
         with self._transaction() as conn:
-            return conn.execute(
-                "INSERT INTO t_psf_parsingfunction (psf_name) VALUES (?)",
-                (procedure.name,)).lastrowid
+            try:
+                return conn.execute(
+                    "INSERT INTO t_psf_parsingfunction (psf_name) VALUES (?)",
+                    (procedure.name,)).lastrowid
+            except sqlite3.IntegrityError:  # UNIQUE (psf_name)
+                raise DuplicateProcedure(procedure.name) from None
 
     def list_procedures(self) -> list[str]:
         with _sqlite_errors(self._path):
@@ -329,22 +340,46 @@ class Store:
 
     def put_binding(self, binding: ParsingBinding) -> str:
         """Insert the link row; returns efe_number (the binding name).  Raises
-        ExtensionNotDeclared, as Registry.bind does, for an undeclared extension."""
+        UnknownEquipment, UnknownProcedure, ExtensionNotDeclared unless the
+        equipment's model declares the extension, and DuplicateBinding when
+        (equipment, extension) is bound already."""
         with self._transaction() as conn:
-            eqp = self._number("t_eqp_equipments", "eqp", binding.equipment_name)
+            row = conn.execute(
+                "SELECT eqp_number, eqp_extensions FROM t_eqp_equipments WHERE eqp_name = ?",
+                (binding.equipment_name,)).fetchone()
+            if row is None:
+                raise UnknownEquipment(binding.equipment_name)
             psf = self._number("t_psf_parsingfunction", "psf", binding.procedure_name)
-            if eqp is None or psf is None:
-                missing = binding.equipment_name if eqp is None else binding.procedure_name
-                raise ForeignKeyViolation(f"binding references missing {missing!r}")
-            if binding.extension not in self.get_equipment(binding.equipment_name).extensions:
+            if psf is None:
+                raise UnknownProcedure(binding.procedure_name)
+            if binding.extension not in row[1].split():
                 raise ExtensionNotDeclared(
                     f"{binding.equipment_name} does not declare .{binding.extension}")
-            conn.execute(
-                "INSERT INTO t_efe_equipmentfileextension"
-                " (efe_number, eqp_number, psf_number, efe_extension)"
-                " VALUES (?,?,?,?)",
-                (binding.binding_name, eqp, psf, binding.extension))
+            try:
+                conn.execute(
+                    "INSERT INTO t_efe_equipmentfileextension"
+                    " (efe_number, eqp_number, psf_number, efe_extension)"
+                    " VALUES (?,?,?,?)",
+                    (binding.binding_name, row[0], psf, binding.extension))
+            except sqlite3.IntegrityError:  # UNIQUE (eqp_number, efe_extension)
+                raise DuplicateBinding(
+                    f"({binding.equipment_name}, {binding.extension})") from None
         return binding.binding_name
+
+    def resolve(self, equipment: str, filename: str) -> ParsingProcedure:
+        """The procedure bound to (equipment, extension of filename), found
+        through the (eqp_number, efe_extension) index; NoBinding if none.
+        Stored procedures all name the .lvm parser, the only implementation."""
+        extension = os.path.splitext(filename)[1].lstrip(".").lower()
+        with _sqlite_errors(self._path):
+            row = self._conn.execute(
+                "SELECT psf_name FROM t_efe_equipmentfileextension"
+                " JOIN t_eqp_equipments USING (eqp_number) JOIN t_psf_parsingfunction"
+                " USING (psf_number) WHERE eqp_name = ? AND efe_extension = ?",
+                (equipment, extension)).fetchone()
+        if row is None:
+            raise NoBinding(equipment, extension)
+        return ParsingProcedure(row[0], LVM_HANDLER_ID)
 
     def list_bindings(self) -> list[ParsingBinding]:
         with _sqlite_errors(self._path):

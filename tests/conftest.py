@@ -65,7 +65,7 @@ def _parameters(draw):
 
 def _constructs(**fields) -> bool:
     try:
-        EquipmentModel("E", **fields)
+        EquipmentModel(**{"name": "E", **fields})
     except LvmforgeError:
         return False
     return True
@@ -74,13 +74,17 @@ def _constructs(**fields) -> bool:
 @st.composite
 def equipment_models(draw):
     """Every EquipmentModel that constructs from hostile text: each drawn
-    parameter, extension and ignored key that a model refuses is left out."""
-    parameters = {p.name: p for p in draw(st.lists(_parameters(), max_size=4)) if p}
+    text, parameter, extension and ignored key that a model refuses is left
+    out, so its field keeps the default."""
+    parameters = {p.name: p for p in draw(st.lists(_parameters(), max_size=4))
+                  if p and _constructs(parameters=(p,))}
     words = {field: frozenset(w for w in draw(st.lists(_HOSTILE, max_size=3))
                               if _constructs(**{field: {w}}))
              for field in ("extensions", "ignored_file_keys")}
+    texts = {field: draw(strategy) for field, strategy in (
+        ("producer", _HOSTILE), ("description", _HOSTILE), ("webpage", st.none() | _HOSTILE),
+        ("picture", st.none() | _HOSTILE), ("visual_model", st.none() | _HOSTILE))}
     return EquipmentModel(
-        draw(_HOSTILE.filter(str.strip)), draw(_HOSTILE), draw(_HOSTILE),
-        webpage=draw(st.none() | _HOSTILE), picture=draw(st.none() | _HOSTILE),
-        visual_model=draw(st.none() | _HOSTILE),
-        parameters=tuple(parameters.values()), **words)
+        draw(_HOSTILE.filter(lambda name: _constructs(name=name))),
+        parameters=tuple(parameters.values()), **words,
+        **{field: text for field, text in texts.items() if _constructs(**{field: text})})

@@ -23,8 +23,8 @@ from lvmforge import (
     HighPrecisionTime,
     MeasurementRecord,
     NonLinearityInput,
+    ParsingBinding,
     ParsingProcedure,
-    Registry,
     builtin_sytherm,
     channel_series,
     detect_steady_state,
@@ -146,16 +146,15 @@ def test_criterion_5_steady_state_oracle():
 
 def test_criterion_6_dispatch_law(store, sytherm3):
     store.put_equipment(sytherm3)
-    registry = Registry.from_store(store)
-    registry.register_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
-    store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
+    store.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
+    store.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
 
-    assert registry.resolve("SYTHERM", "x.lvm").name == "LVM_PARSING"
+    assert store.resolve("SYTHERM", "x.lvm").name == "LVM_PARSING"
     stored_name = store._conn.execute(
         "SELECT efe_number FROM t_efe_equipmentfileextension").fetchone()[0]
     assert stored_name == "LVM_PARSING_LVM"
     with pytest.raises(NoBinding):
-        registry.resolve("SYTHERM", "x.txt")
+        store.resolve("SYTHERM", "x.txt")
     report(6, "dispatch law and LVM_PARSING_LVM binding name")
 
 

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from lvmforge import render_model_definition, builtin_sytherm
+from lvmforge import render_model_definition, builtin_sytherm, init_schema
 from lvmforge.cli import build_parser, run
 
 from conftest import ANNEX1_PATH
@@ -104,6 +104,24 @@ def test_proc_add_refuses_an_empty_name(cli):
     cli("init")
     err = cli("proc", "add", "", expect=1).err
     assert err.startswith("ERROR EmptyName: ")
+
+
+def test_refused_dispatch_writes_are_one_error_line(cli, tmp_path):
+    cli("init")
+    cli("model", "sytherm", "--channels", "3")
+    cli("proc", "add", "P")
+    cli("bind", "SYTHERM", "P", "lvm")
+    with init_schema(tmp_path / "store.db") as store:
+        before = (store.list_procedures(), store.list_bindings())
+    for argv, line in ((("proc", "add", "P"), "ERROR DuplicateProcedure: P"),
+                       (("bind", "SYTHERM", "P", "lvm"), "ERROR DuplicateBinding: (SYTHERM, lvm)"),
+                       (("bind", "SYTHERM", "NOPE", "lvm"), "ERROR UnknownProcedure: NOPE"),
+                       (("bind", "SYTHERM", "P", "csv"),
+                        "ERROR ExtensionNotDeclared: SYTHERM does not declare .csv")):
+        captured = cli(*argv, expect=1)
+        assert (captured.out, captured.err.splitlines()) == ("", [line]), argv
+        with init_schema(tmp_path / "store.db") as store:
+            assert (store.list_procedures(), store.list_bindings()) == before, argv
 
 
 def test_edit_and_remove(cli_with_sytherm):

@@ -9,7 +9,6 @@ from lvmforge import (
     ConceptCategory,
     ParsingBinding,
     ParsingProcedure,
-    Registry,
     builtin_sytherm,
     import_file,
     map_lvm_to_record,
@@ -33,30 +32,29 @@ from docgen import random_document
 
 
 @pytest.fixture()
-def registry(store, sytherm3):
-    """A registry over a store that holds SYTHERM and LVM_PARSING."""
+def seeded(store, sytherm3):
+    """A store that holds SYTHERM and LVM_PARSING."""
     store.put_equipment(sytherm3)
-    reg = Registry.from_store(store)
-    reg.register_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
-    return reg
+    store.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
+    return store
 
 
-def test_register_and_resolve(store, registry):
-    store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
-    assert registry.resolve("SYTHERM", "run1.lvm").name == "LVM_PARSING"
-    assert store.list_procedures() == ["LVM_PARSING"]
+def test_register_and_resolve(seeded):
+    seeded.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
+    assert seeded.resolve("SYTHERM", "run1.lvm").name == "LVM_PARSING"
+    assert seeded.list_procedures() == ["LVM_PARSING"]
 
 
-def test_register_twice(store, registry):
+def test_register_twice(seeded):
     with pytest.raises(DuplicateProcedure, match="^LVM_PARSING$"):
-        registry.register_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
-    assert store.list_procedures() == ["LVM_PARSING"]
+        seeded.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
+    assert seeded.list_procedures() == ["LVM_PARSING"]
 
 
-def test_register_unknown_handler(store, registry):
+def test_register_unknown_handler(seeded):
     with pytest.raises(UnknownHandler, match="^builtin.mes$"):
-        registry.register_procedure(ParsingProcedure("MES_PARSING", "builtin.mes"))
-    assert store.list_procedures() == ["LVM_PARSING"]
+        seeded.put_procedure(ParsingProcedure("MES_PARSING", "builtin.mes"))
+    assert seeded.list_procedures() == ["LVM_PARSING"]
 
 
 def test_procedure_checks_itself():
@@ -66,52 +64,53 @@ def test_procedure_checks_itself():
         ParsingProcedure("P", "nonsense.handler")
 
 
-def test_a_binding_put_with_an_upper_case_extension_resolves(store, registry):
+def test_a_binding_put_with_an_upper_case_extension_resolves(seeded):
     binding = ParsingBinding("SYTHERM", "LVM_PARSING", "LVM")
     assert (binding.extension, binding.binding_name) == ("lvm", "LVM_PARSING_LVM")
-    store.put_binding(binding)
-    assert registry.resolve("SYTHERM", "a.lvm").name == "LVM_PARSING"
+    seeded.put_binding(binding)
+    assert seeded.resolve("SYTHERM", "a.lvm").name == "LVM_PARSING"
     with pytest.raises(DuplicateBinding, match=r"^\(SYTHERM, lvm\)$"):
-        registry.bind("SYTHERM", "LVM_PARSING", "lvm")
+        seeded.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
 
 
-def test_bind_canonical_name(registry):
-    binding = registry.bind("SYTHERM", "LVM_PARSING", "lvm")
+def test_bind_canonical_name(seeded):
+    binding = ParsingBinding("SYTHERM", "LVM_PARSING", "lvm")
+    assert seeded.put_binding(binding) == "LVM_PARSING_LVM"
     assert binding.binding_name == "LVM_PARSING_LVM"
     assert binding.equipment_name == "SYTHERM"
     assert binding.extension == "lvm"
 
 
-def test_bind_undeclared_extension(registry):
+def test_bind_undeclared_extension(seeded):
     with pytest.raises(ExtensionNotDeclared, match="^SYTHERM does not declare .txt$"):
-        registry.bind("SYTHERM", "LVM_PARSING", "txt")
+        seeded.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "txt"))
 
 
-def test_bind_duplicate(store, registry):
-    store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
+def test_bind_duplicate(seeded):
+    seeded.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
     for extension in ("lvm", "LVM"):
         with pytest.raises(DuplicateBinding, match=r"^\(SYTHERM, lvm\)$"):
-            registry.bind("SYTHERM", "LVM_PARSING", extension)
+            seeded.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", extension))
 
 
-def test_bind_unknown_names(registry):
+def test_bind_unknown_names(seeded):
     with pytest.raises(UnknownEquipment, match="^NOPE$"):
-        registry.bind("NOPE", "LVM_PARSING", "lvm")
+        seeded.put_binding(ParsingBinding("NOPE", "LVM_PARSING", "lvm"))
     with pytest.raises(UnknownProcedure, match="^NOPE$"):
-        registry.bind("SYTHERM", "NOPE", "lvm")
+        seeded.put_binding(ParsingBinding("SYTHERM", "NOPE", "lvm"))
 
 
-def test_resolve_case_insensitive_extension(store, registry):
-    store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
-    assert registry.resolve("SYTHERM", "run1.LVM").name == "LVM_PARSING"
+def test_resolve_case_insensitive_extension(seeded):
+    seeded.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
+    assert seeded.resolve("SYTHERM", "run1.LVM").name == "LVM_PARSING"
 
 
-def test_resolve_no_binding(store, registry):
-    store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
+def test_resolve_no_binding(seeded):
+    seeded.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
     with pytest.raises(NoBinding, match="'SYTHERM', 'csv'"):
-        registry.resolve("SYTHERM", "run1.csv")
+        seeded.resolve("SYTHERM", "run1.csv")
     with pytest.raises(NoBinding):
-        registry.resolve("SYTHERM", "no_extension")
+        seeded.resolve("SYTHERM", "no_extension")
 
 
 @settings(max_examples=50, deadline=None)
@@ -195,56 +194,42 @@ def test_mapping_totality_over_serialized_documents(seed, channels):
     assert "Writer_Version" not in stored and "Reader_Version" not in stored
 
 
-def test_import_file(tmp_path, store, registry, annex1_bytes):
-    store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
+def test_import_file(tmp_path, seeded, annex1_bytes):
+    seeded.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
     path = tmp_path / "annex1.lvm"
     path.write_bytes(annex1_bytes)
-    record_id = import_file(path, "SYTHERM", registry, store)
-    record = store.get_measurement(record_id)
+    record_id = import_file(path, "SYTHERM", None, seeded)
+    record = seeded.get_measurement(record_id)
     assert record.get_value(ConceptCategory.MEASUREMENT_INFORMATION, "Operator") == "Profesor"
     assert record.source_file == "annex1.lvm"
 
 
-def test_import_missing_file(tmp_path, store, registry):
-    store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
+def test_import_missing_file(tmp_path, seeded):
+    seeded.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
     with pytest.raises(FileNotFoundError):
-        import_file(tmp_path / "nope.lvm", "SYTHERM", registry, store)
+        import_file(tmp_path / "nope.lvm", "SYTHERM", None, seeded)
 
 
-def test_import_unbound_extension(tmp_path, store, registry):
+def test_import_unbound_extension(tmp_path, seeded):
     path = tmp_path / "data.csv"
     path.write_text("x\n")
     with pytest.raises(NoBinding):
-        import_file(path, "SYTHERM", registry, store)
+        import_file(path, "SYTHERM", None, seeded)
 
 
-def test_registry_from_store(store, sytherm3, registry):
-    store.put_binding(registry.bind("SYTHERM", "LVM_PARSING", "lvm"))
-    loaded = Registry.from_store(store)
-    assert loaded.resolve("SYTHERM", "x.lvm").name == "LVM_PARSING"
-    assert loaded.get_equipment("SYTHERM") == sytherm3
+def test_store_resolves_a_binding_and_gives_back_its_equipment(seeded, sytherm3):
+    seeded.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
+    assert seeded.resolve("SYTHERM", "x.lvm").name == "LVM_PARSING"
+    assert seeded.get_equipment("SYTHERM") == sytherm3
     with pytest.raises(UnknownEquipment, match="^NOPE$"):
-        loaded.get_equipment("NOPE")
+        seeded.get_equipment("NOPE")
 
 
-def test_registry_sees_a_binding_written_after_it_was_built(store, sytherm3):
-    store.put_equipment(sytherm3)
-    store.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
-    registry = Registry.from_store(store)
+def test_resolve_sees_a_binding_written_after_a_miss(seeded):
     with pytest.raises(NoBinding):
-        registry.resolve("SYTHERM", "x.lvm")
-    store.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
-    assert registry.resolve("SYTHERM", "x.lvm").name == "LVM_PARSING"
-
-
-def test_registry_from_store_runs_no_query(store, sytherm3):
-    store.put_equipment(sytherm3)
-    store.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
-    sent = []
-    store._conn.set_trace_callback(sent.append)
-    Registry.from_store(store)
-    store._conn.set_trace_callback(None)
-    assert sent == []
+        seeded.resolve("SYTHERM", "x.lvm")
+    seeded.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
+    assert seeded.resolve("SYTHERM", "x.lvm").name == "LVM_PARSING"
 
 
 def test_record_timestamps(annex1_doc, sytherm3):

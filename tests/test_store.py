@@ -15,10 +15,8 @@ from lvmforge import (
     ConceptCategory,
     EquipmentModel,
     MeasurementRecord,
-    ParameterDefinition,
     ParsingBinding,
     ParsingProcedure,
-    Registry,
     TypedValue,
     ValueType,
     builtin_sytherm,
@@ -30,7 +28,9 @@ from lvmforge import (
     render_canonical,
 )
 from lvmforge.errors import (
+    DuplicateBinding,
     DuplicateKey,
+    DuplicateProcedure,
     ExtensionNotDeclared,
     ForeignKeyViolation,
     NotFound,
@@ -40,6 +40,7 @@ from lvmforge.errors import (
     TypeMismatch,
     UnknownEquipment,
     UnknownParameter,
+    UnknownProcedure,
 )
 from lvmforge.ingest import LVM_HANDLER_ID
 from lvmforge.lvm import read_text
@@ -142,8 +143,6 @@ def test_equipment_roundtrip(store, sytherm3):
 
 @settings(max_examples=200, deadline=None)
 @given(equipment_models())
-@example(EquipmentModel("E", parameters=(ParameterDefinition(
-    "Mode", ConceptCategory.DATA, ValueType.ENUMERATION, enum_domain=("a\nb", ")")),)))
 @example(EquipmentModel(".", description="\ud800"))
 def test_every_model_that_constructs_reads_back(model):
     """The store gives back every model it takes.  It takes every model
@@ -190,6 +189,43 @@ def test_put_binding_refuses_an_extension_the_equipment_does_not_declare(store, 
             store.put_binding(ParsingBinding("SYTHERM", "P", extension))
     assert store.list_bindings() == []
     assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+
+
+def test_dispatch_errors_are_the_stores(store, sytherm3):
+    """Each dispatch rule is checked by the store method that writes the
+    table, and a refused write changes no table."""
+    store.put_equipment(sytherm3)
+    store.put_procedure(ParsingProcedure("P", LVM_HANDLER_ID))
+    store.put_binding(ParsingBinding("SYTHERM", "P", "lvm"))
+    before = {t: count(store, t) for t in EXPECTED_TABLES}
+    for call, error, message in (
+            (lambda: store.put_binding(ParsingBinding("SYTHERM", "P", "lvm")),
+             DuplicateBinding, r"^\(SYTHERM, lvm\)$"),
+            (lambda: store.put_binding(ParsingBinding("SYTHERM", "NOPE", "lvm")),
+             UnknownProcedure, "^NOPE$"),
+            (lambda: store.put_binding(ParsingBinding("NOPE", "P", "lvm")),
+             UnknownEquipment, "^NOPE$"),
+            (lambda: store.put_procedure(ParsingProcedure("P", LVM_HANDLER_ID)),
+             DuplicateProcedure, "^P$")):
+        with pytest.raises(error, match=message):
+            call()
+        assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+
+
+def test_resolve_sends_one_statement_that_searches_the_binding_index(store, sytherm3):
+    """resolve finds the binding through the (eqp_number, efe_extension)
+    unique index; no table is scanned."""
+    store.put_equipment(sytherm3)
+    store.put_procedure(ParsingProcedure("P", LVM_HANDLER_ID))
+    store.put_binding(ParsingBinding("SYTHERM", "P", "lvm"))
+    sent = []
+    store._conn.set_trace_callback(sent.append)
+    assert store.resolve("SYTHERM", "run.LVM") == ParsingProcedure("P", LVM_HANDLER_ID)
+    store._conn.set_trace_callback(None)
+    assert len(sent) == 1
+    plan = " | ".join(r[3] for r in store._conn.execute("EXPLAIN QUERY PLAN " + sent[0]))
+    assert "SCAN" not in plan, plan
+    assert "(eqp_number=? AND efe_extension=?)" in plan, plan
 
 
 def test_put_measurement_rows(store, sytherm3, annex_record):
@@ -737,14 +773,13 @@ def test_lone_surrogate_text_is_a_storage_error(tmp_path, store, sytherm3, annex
     store.put_equipment(sytherm3)
     store.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
     store.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
-    registry = Registry.from_store(store)
     # an undecodable byte in a file name reads as a lone surrogate
     source = tmp_path / "caf\udce9.lvm"
     source.write_bytes(annex1_bytes)
     before = {t: count(store, t) for t in EXPECTED_TABLES}
     for call in (lambda: store.query(operator="caf\udce9"),
                  lambda: store.get_equipment("S\udce9"),
-                 lambda: import_file(source, "SYTHERM", registry, store)):
+                 lambda: import_file(source, "SYTHERM", None, store)):
         with pytest.raises(StorageError):
             call()
     assert {t: count(store, t) for t in EXPECTED_TABLES} == before
