@@ -11,7 +11,8 @@ The schema follows the t_<code>_<name> / <code>_number naming convention:
                                 lists its series' prm_numbers in record order
     t_val_values                canonical text rendering of each parameter value
     t_ser_series                one (index, x, y) row per series point, clustered
-                                by (msr_number, prm_number, ser_index); a series
+                                by (msr_number, prm_number, ser_index), written
+                                in multi-row INSERTs of _BATCH rows; a series
                                 reads back as one key range of (x, y) row tuples
 
 Values are stored in their canonical text form (see
@@ -32,6 +33,7 @@ import json
 import math
 import os
 import sqlite3
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date as Date
@@ -122,8 +124,8 @@ CREATE TABLE t_val_values (
 );
 """
 
-# one B-tree, written once per point; the key is the read order of
-# get_measurement and keeps the v1 rule that a series has each index once
+# one B-tree entry per point; the key is the read order of get_measurement
+# and keeps the v1 rule that a series has each index once
 _SERIES_TABLE = """
 CREATE TABLE {} (
     msr_number INTEGER NOT NULL REFERENCES t_msr_measurements(msr_number),
@@ -134,6 +136,18 @@ CREATE TABLE {} (
     PRIMARY KEY (msr_number, prm_number, ser_index)
 ) WITHOUT ROWID;
 """
+
+# Points go in as multi-row INSERTs of _BATCH rows, one row per point: the
+# cost of a put is mostly per statement step, not per B-tree row.  A
+# statement binds msr_number, prm_number and its first ser_index once, then
+# the x, y pairs flat.  A series' last len % _BATCH points take the one-row
+# statement, so only these two texts are ever compiled.  _BATCH stays small
+# because each connection (each CLI command) compiles the batch text again.
+_BATCH = 32
+_SERIES_COLUMNS = "INSERT INTO t_ser_series (msr_number, prm_number, ser_index, ser_x, ser_y)"
+_INSERT_POINT = _SERIES_COLUMNS + " VALUES (?,?,?,?,?)"
+_INSERT_BATCH = _SERIES_COLUMNS + " VALUES " + ",".join(
+    f"(?1,?2,?3+{j},?{4 + 2 * j},?{5 + 2 * j})" for j in range(_BATCH))
 
 _ENUM_PREFIX = "Enumeration("
 
@@ -439,13 +453,16 @@ class Store:
             conn.executemany(
                 "INSERT INTO t_val_values (msr_number, prm_number, val_text) VALUES (?,?,?)",
                 [(msr, number, text) for number, text in values])
-            # a generator: the rows of a long record are never all in memory
-            conn.executemany(
-                "INSERT INTO t_ser_series (msr_number, prm_number, ser_index, ser_x, ser_y)"
-                " VALUES (?,?,?,?,?)",
-                ((msr, number, index, x, y)
-                 for number, s in zip(series, record.series)
-                 for index, (x, y) in enumerate(s.points)))
+            for number, s in zip(series, record.series):
+                tail = len(s.points) - len(s.points) % _BATCH
+                # a generator: one chunk's parameters are built at a time, so
+                # the rows of a long series are never all in memory
+                conn.executemany(_INSERT_BATCH, (
+                    (msr, number, start, *chain.from_iterable(s.points[start:start + _BATCH]))
+                    for start in range(0, tail, _BATCH)))
+                conn.executemany(_INSERT_POINT, (
+                    (msr, number, index, x, y)
+                    for index, (x, y) in enumerate(s.points[tail:], tail)))
             return msr
 
     def get_measurement(self, msr_number: int) -> MeasurementRecord:
@@ -574,17 +591,29 @@ def _stored_text(definition: ParameterDefinition, typed: TypedValue) -> str:
 
 
 def _require_finite(series: ChannelSeries) -> None:
-    """Raise TypeMismatch for the first sample that is not a finite real.
-    SQLite binds NaN as NULL and the .lvm parser refuses infinities, so the
-    store keeps neither."""
+    """Raise TypeMismatch for the first point that is not an (x, y) pair, or
+    the first sample that is not a finite real get would give back as
+    itself.  SQLite binds NaN as NULL and the .lvm parser refuses
+    infinities, so the store keeps neither.  An int sample is bound as an
+    SQLite INTEGER: one outside 64 bits does not bind, and REAL affinity
+    rounds one that float() does not hold exactly (2**53 + 1 would come back
+    as 2**53).  Pairs keep the flat parameters of _INSERT_BATCH aligned."""
+    points = series.points
     try:
-        if all(map(math.isfinite, chain.from_iterable(series.points))):
+        if {*map(len, points)} <= {2}:
+            # float.__floor__ takes only a float and raises on NaN and on an
+            # infinity, so one pass in C clears a series of finite floats
+            deque(map(float.__floor__, chain.from_iterable(points)), 0)
             return
-    except TypeError:  # a sample that is not a number
+    except (TypeError, ValueError, OverflowError):
         pass
-    bad = next(v for v in chain.from_iterable(series.points)
-               if not isinstance(v, (int, float)) or not math.isfinite(v))
-    raise TypeMismatch(series.name, bad, "a sample must be a finite real")
+    for point in points:
+        if len(point) != 2:
+            raise TypeMismatch(series.name, point, "a point must be an (x, y) pair")
+        for v in point:
+            if not (math.isfinite(v) if isinstance(v, float) else
+                    isinstance(v, int) and -2**63 <= v < 2**63 and float(v) == v):
+                raise TypeMismatch(series.name, v, "a sample must be a finite real")
 
 
 def _has_value(condition: str) -> str:

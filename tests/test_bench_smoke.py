@@ -5,7 +5,9 @@ change to those types that breaks the benchmark fails here, not only when
 the benchmark is run.  The export_read run also checks what the read path
 gives back: CSV and XML exports of stored records and the time constants
 fitted to them.  Each run happens in a copy of src/, perfbench/ and
-the Annex-1 fixture, so it writes nothing into the checkout.
+the Annex-1 fixture, so it writes nothing into the checkout.  The
+ingest_bulk run checks the write path: the stored 5000 x 8 records read
+back equal to the generated samples, one series row per point.
 """
 
 import json
@@ -42,3 +44,8 @@ def test_lab_session_run_is_correct(tmp_path):
 def test_export_read_run_is_correct(tmp_path):
     """Reads, CSV/XML exports and tau checks of preloaded records."""
     _run_is_correct("export_read", tmp_path)
+
+
+def test_ingest_bulk_run_is_correct(tmp_path):
+    """Bulk imports, then verify_counts and verify_records on what was stored."""
+    _run_is_correct("ingest_bulk", tmp_path)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 import re
 import sqlite3
@@ -44,7 +45,7 @@ from lvmforge.errors import (
 )
 from lvmforge.ingest import LVM_HANDLER_ID
 from lvmforge.lvm import read_text
-from lvmforge.store import Store
+from lvmforge.store import _BATCH, Store
 
 from conftest import equipment_models
 
@@ -317,13 +318,17 @@ def test_put_measurement_rejects_a_value_its_grammar_does_not_read_back(
         assert {t: count(store, t) for t in EXPECTED_TABLES} == before
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "23.4"])
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("inf"), float("-inf"), "23.4",
+    # REAL affinity rounds it to 2**53; SQLite cannot bind it; float() overflows
+    pytest.param(2**53 + 1, id="2**53+1"), pytest.param(2**70, id="2**70"),
+    pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
 def test_put_measurement_rejects_a_sample_that_is_not_a_finite_real(
         store, sytherm3, annex_record, bad, axis):
     """SQLite binds NaN as NULL and the parser refuses infinities, so the
-    store refuses both, and any sample that is not a number, before it
-    writes a row."""
+    store refuses both, any sample that is not a number, and any int that
+    would not come back as itself, before it writes a row."""
     store.put_equipment(sytherm3)
     store.put_measurement(annex_record)
     series = list(annex_record.series)
@@ -334,6 +339,21 @@ def test_put_measurement_rejects_a_sample_that_is_not_a_finite_real(
     with pytest.raises(TypeMismatch, match=re.escape(
             f"parameter {series[1].name!r} rejects {bad!r}: a sample must be a finite real")):
         store.put_measurement(dataclasses.replace(annex_record, series=series))
+    assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+
+
+def test_put_measurement_rejects_a_point_that_is_not_a_pair(store):
+    """A triple and a single in one chunk bind as many values as two pairs
+    do, so the chunk would be stored shifted; put refuses the triple before
+    it writes a row."""
+    model = builtin_sytherm(1)
+    store.put_equipment(model)
+    points = [(float(i), i / 2) for i in range(_BATCH)]
+    points[2:4] = [points[2] + (1.0,), points[3][:1]]
+    before = {t: count(store, t) for t in EXPECTED_TABLES}
+    with pytest.raises(TypeMismatch, match=re.escape(
+            f"rejects {points[2]!r}: a point must be an (x, y) pair")):
+        store.put_measurement(_channel_record(model, tuple(points)))
     assert {t: count(store, t) for t in EXPECTED_TABLES} == before
 
 
@@ -767,6 +787,64 @@ def test_series_reads_and_delete_sort_nothing(store, sytherm3, annex_record):
     for sql in series_sql:
         plan = " | ".join(r[3] for r in store._conn.execute("EXPLAIN QUERY PLAN " + sql))
         assert "TEMP B-TREE" not in plan and "PRIMARY KEY" in plan, (sql, plan)
+
+
+_BOUNDARY_LENGTHS = (0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), lengths=st.permutations(_BOUNDARY_LENGTHS))
+def test_put_get_identity_across_batch_boundaries(data, lengths):
+    """Series that end before, on and after a chunk boundary, one length
+    per channel: each point is one row, indexed 0..n-1, and get gives the
+    record back."""
+    model = builtin_sytherm(len(lengths))
+    record = _channel_record(model, *(
+        data.draw(st.lists(st.tuples(_REALS, _REALS), min_size=n, max_size=n).map(tuple),
+                  label=f"{n} points") for n in lengths))
+    with init_schema(":memory:") as store:
+        store.put_equipment(model)
+        msr = store.put_measurement(record)
+        assert dataclasses.replace(store.get_measurement(msr), record_id=None) == record
+        assert count(store, "t_ser_series") == sum(lengths)
+        indices = {}
+        for name, index in store._conn.execute(
+                "SELECT prm_name, ser_index FROM t_ser_series JOIN t_prm_parameters"
+                " USING (prm_number) ORDER BY prm_name, ser_index"):
+            indices.setdefault(name, []).append(index)
+    assert indices == {s.name: list(range(len(s.points))) for s in record.series if s.points}
+
+
+def test_a_failure_in_mid_write_rolls_the_whole_put_back(store):
+    """A row refused inside the second series' second multi-row statement,
+    after the first series is written, leaves no row of the record."""
+    model = builtin_sytherm(3)
+    store.put_equipment(model)
+    points = tuple((float(i), float(-i)) for i in range(2 * _BATCH + 1))
+    record = _channel_record(model, points, points, points)
+    second = store._conn.execute("SELECT prm_number FROM t_prm_parameters WHERE prm_name = ?",
+                                 (record.series[1].name,)).fetchone()[0]
+    store._conn.execute(
+        "CREATE TEMP TRIGGER refuse_one_row BEFORE INSERT ON main.t_ser_series"
+        f" WHEN NEW.prm_number = {second} AND NEW.ser_index = {_BATCH + 3}"
+        " BEGIN SELECT RAISE(ABORT, 'refused in mid-write'); END")
+    before = {t: count(store, t) for t in EXPECTED_TABLES}
+    with pytest.raises(StorageError, match="refused in mid-write"):
+        store.put_measurement(record)
+    assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+
+
+def test_put_writes_a_series_in_multi_row_statements(store):
+    """Points go in _BATCH rows per statement, not one statement each."""
+    model = builtin_sytherm(1)
+    store.put_equipment(model)
+    record = _channel_record(model, tuple((i / 10, math.sin(i)) for i in range(5000)))
+    sent = []
+    store._conn.set_trace_callback(sent.append)
+    store.put_measurement(record)
+    store._conn.set_trace_callback(None)
+    assert len(sent) <= math.ceil(5000 / _BATCH) + _BATCH, len(sent)
+    assert count(store, "t_ser_series") == 5000
 
 
 def test_lone_surrogate_text_is_a_storage_error(tmp_path, store, sytherm3, annex1_bytes):
