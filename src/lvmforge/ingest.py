@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
 
-from .errors import ChannelCountMismatch, EmptyName, ExtensionNotDeclared, UnknownHandler
+from .errors import (ChannelCountMismatch, EmptyName, ExtensionNotDeclared, InvariantViolation,
+                     UnknownHandler)
 from .lvm import (
     LvmDocument,
     channel_series,
@@ -112,15 +113,18 @@ def map_lvm_to_record(doc: LvmDocument, model: EquipmentModel,
                       ) -> MeasurementRecord:
     """Map a parsed .lvm document onto an equipment model.
 
-    Header keys are matched to model parameters by name and typed through
-    the declared value grammar; keys in the model's ignored set are skipped
-    silently, unknown keys each produce one warning.  Per-channel segment
-    keys contribute their channel-0 value, with the full list kept in the
-    record's aux notes.  Channel columns become series named after the
-    model's channel parameters.
+    The header becomes one key -> text map: the file header's lines first,
+    then the first segment's single-value lines, which override them, then
+    its per-channel lines, whose channel-0 value fills only an unset key
+    (whole lists and Notes go to aux).  Each key the model neither declares
+    nor ignores warns once; the declared ones are typed in declaration
+    order, the order of each category's values.  Channel columns become
+    series named after the model's channel parameters.
     """
     if "lvm" not in model.extensions:
         raise ExtensionNotDeclared(f"{model.name} does not declare .lvm")
+    if not doc.segments:
+        raise InvariantViolation("document has no segments")
     segment = doc.segments[0]
     model_channels = len(model.channel_parameters)
     if model_channels != segment.channels:
@@ -132,36 +136,22 @@ def map_lvm_to_record(doc: LvmDocument, model: EquipmentModel,
         imported_at=imported_at or datetime.now(),
         source_file=source_file,
     )
-
-    def apply(key: str, raw: str, keep_existing: bool = False) -> None:
-        """Set a parameter from raw text; warn when the model lacks the key."""
-        if key in model.ignored_file_keys:
-            return
-        definition = model.parameter(key)
-        if definition is None:
-            record.warnings.append(f"unknown header key {key!r}")
-        elif not keep_existing or record.get_value(definition.category, key) is None:
-            record.set_value(definition.category, key, make_typed(definition, raw))
-
-    for key, raw in file_header_fields(doc.header, "."):
-        apply(key, raw)
+    texts = dict(file_header_fields(doc.header, "."))
     for key, value in segment_header_fields(segment, "."):
         if key == "Notes":
             record.aux["Notes"] = value
         elif isinstance(value, str):
-            apply(key, value)
+            texts[key] = value
         elif value:
-            # per-channel key: the full list goes to aux, channel 0 to the
-            # model unless the file header set it already (e.g. Date/Time)
             record.aux[key] = " ".join(value)
-            apply(key, value[0], keep_existing=True)
-
-    # downstream exports rely on model declaration order within a category
-    declaration = {p.name: i for i, p in enumerate(model.parameters)}
-    record.values = {
-        category: dict(sorted(values.items(), key=lambda item: declaration[item[0]]))
-        for category, values in record.values.items()
-    }
+            texts.setdefault(key, value[0])
+    ignored = model.ignored_file_keys
+    record.warnings = [f"unknown header key {key!r}" for key in texts
+                       if key not in ignored and model.parameter(key) is None]
+    for parameter in model.parameters:
+        if parameter.name in texts and parameter.name not in ignored:
+            record.set_value(parameter.category, parameter.name,
+                             make_typed(parameter, texts[parameter.name]))
 
     for k, parameter in enumerate(model.channel_parameters):
         record.series.append(ChannelSeries(

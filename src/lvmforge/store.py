@@ -9,7 +9,8 @@ The schema follows the t_<code>_<name> / <code>_number naming convention:
     t_prm_parameters            typed parameter definitions per equipment
     t_msr_measurements          one row per imported measurement; msr_series
                                 lists its series' prm_numbers in record order
-    t_val_values                canonical text rendering of each parameter value
+    t_val_values                canonical text rendering of each parameter value,
+                                read in prm_number (declaration) order
     t_ser_series                one (index, x, y) row per series point, clustered
                                 by (msr_number, prm_number, ser_index), written
                                 in multi-row INSERTs of _BATCH rows; a series
@@ -18,7 +19,8 @@ The schema follows the t_<code>_<name> / <code>_number naming convention:
 Values are stored in their canonical text form (see
 :func:`lvmforge.model.render_canonical`); put_measurement refuses a value
 that validate_value does not read back from that text as the same value,
-so put followed by get reconstructs an equal record.  put_procedure,
+so put followed by get reconstructs an equal record.  update_value sets a
+value in one UPSERT, whether the record has it or not.  put_procedure,
 put_binding and resolve apply every dispatch rule over procedures and
 bindings.  All writes are transactional; the engine is SQLite (single
 writer, many readers).  This is schema version 2; init_schema migrates a
@@ -325,10 +327,11 @@ class Store:
 
     def _parameter_ids(self, eqp_number: int) -> dict[str, tuple[int, ParameterDefinition]]:
         out = {}
-        for row in self._conn.execute(
+        # sorted here, not in a temp B-tree: the (eqp_number, prm_name) index
+        # gives name order, and declaration order is prm_number order
+        for row in sorted(self._conn.execute(
                 "SELECT prm_number, prm_name, prm_category, prm_type, prm_unit,"
-                " prm_source FROM t_prm_parameters WHERE eqp_number = ?"
-                " ORDER BY prm_number", (eqp_number,)):
+                " prm_source FROM t_prm_parameters WHERE eqp_number = ?", (eqp_number,))):
             value_type, domain = _decode_type(row[3])
             out[row[1]] = (row[0], ParameterDefinition(
                 name=row[1], category=ConceptCategory(row[2]), value_type=value_type,
@@ -485,7 +488,7 @@ class Store:
             )
             for prm_number, text in self._conn.execute(
                     "SELECT prm_number, val_text FROM t_val_values"
-                    " WHERE msr_number = ? ORDER BY val_number", (msr_number,)):
+                    " WHERE msr_number = ? ORDER BY prm_number", (msr_number,)):
                 definition = by_id[prm_number]
                 record.set_value(definition.category, definition.name,
                                  make_typed(definition, text))
@@ -548,7 +551,8 @@ class Store:
                 raise NotFound(f"measurement {msr_number}")
 
     def update_value(self, msr_number: int, parameter: str, raw: str) -> None:
-        """Replace one parameter value with the canonical rendering of ``raw``.
+        """Set one parameter value to the canonical rendering of ``raw`` in
+        one UPSERT, which adds a value the record lacks.
 
         The new text must pass the parameter's declared value grammar;
         on TypeMismatch the stored value is unchanged.
@@ -564,14 +568,11 @@ class Store:
                 raise UnknownParameter(parameter)
             prm_number, definition = params[parameter]
             text = render_canonical(make_typed(definition, raw))
-            updated = conn.execute(
-                "UPDATE t_val_values SET val_text = ?"
-                " WHERE msr_number = ? AND prm_number = ?",
-                (text, msr_number, prm_number)).rowcount
-            if not updated:
-                conn.execute(
-                    "INSERT INTO t_val_values (msr_number, prm_number, val_text)"
-                    " VALUES (?,?,?)", (msr_number, prm_number, text))
+            conn.execute(
+                "INSERT INTO t_val_values (msr_number, prm_number, val_text) VALUES (?,?,?)"
+                " ON CONFLICT (msr_number, prm_number)"
+                " DO UPDATE SET val_text = excluded.val_text",
+                (msr_number, prm_number, text))
 
 
 def _stored_text(definition: ParameterDefinition, typed: TypedValue) -> str:
@@ -591,14 +592,17 @@ def _stored_text(definition: ParameterDefinition, typed: TypedValue) -> str:
 
 
 def _require_finite(series: ChannelSeries) -> None:
-    """Raise TypeMismatch for the first point that is not an (x, y) pair, or
-    the first sample that is not a finite real get would give back as
-    itself.  SQLite binds NaN as NULL and the .lvm parser refuses
+    """Raise TypeMismatch unless the points are a tuple or list (the writes
+    take their length and slices), for the first point that is not an (x, y)
+    pair, or for the first sample that is not a finite real get would give
+    back as itself.  SQLite binds NaN as NULL and the .lvm parser refuses
     infinities, so the store keeps neither.  An int sample is bound as an
     SQLite INTEGER: one outside 64 bits does not bind, and REAL affinity
     rounds one that float() does not hold exactly (2**53 + 1 would come back
     as 2**53).  Pairs keep the flat parameters of _INSERT_BATCH aligned."""
     points = series.points
+    if not isinstance(points, (tuple, list)):
+        raise TypeMismatch(series.name, points, "points must be a tuple or list of (x, y) pairs")
     try:
         if {*map(len, points)} <= {2}:
             # float.__floor__ takes only a float and raises on NaN and on an
@@ -608,7 +612,7 @@ def _require_finite(series: ChannelSeries) -> None:
     except (TypeError, ValueError, OverflowError):
         pass
     for point in points:
-        if len(point) != 2:
+        if not hasattr(point, "__len__") or len(point) != 2:
             raise TypeMismatch(series.name, point, "a point must be an (x, y) pair")
         for v in point:
             if not (math.isfinite(v) if isinstance(v, float) else

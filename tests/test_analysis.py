@@ -240,6 +240,14 @@ def test_step_response_from_series_defaults():
     assert abs(estimate_time_constant(rebuilt) - 15.0) <= 0.5
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_step_response_from_series_takes_the_last_sample_below_a_window(n):
+    """Fewer samples than the steady-state window: y_inf is the last one."""
+    points = tuple((float(k), 10.0 - k) for k in range(n))
+    response = step_response_from_series(points)
+    assert (response.y0, response.y_inf) == (10.0, 11.0 - n)
+
+
 def test_step_response_from_series_too_short():
     with pytest.raises(InsufficientData):
         step_response_from_series(((0.0, 1.0), (1.0, 2.0)))

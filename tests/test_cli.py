@@ -175,6 +175,13 @@ def test_gen_import_analyze_tau(cli_with_sytherm, tmp_path):
     assert 14.5 <= float(tau_out.strip()) <= 15.5
 
 
+def test_analyze_a_channel_the_record_lacks_is_one_error_line(cli_with_sytherm):
+    record_id = import_annex(cli_with_sytherm)
+    captured = cli_with_sytherm("analyze", "tau", record_id, "--channel", "9", expect=1)
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["ERROR IndexOutOfRange: channel 9 of 3"]
+
+
 def test_analyze_nonlin(cli_with_sytherm, tmp_path):
     gen_path = tmp_path / "flat.lvm"
     cli_with_sytherm("gen", "--tau", "1", "--y0", "52", "--yinf", "52",

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from lvmforge import (
     ConceptCategory,
+    LvmDocument,
+    LvmFileHeader,
     ParsingBinding,
     ParsingProcedure,
     builtin_sytherm,
@@ -21,6 +23,7 @@ from lvmforge.errors import (
     DuplicateProcedure,
     EmptyName,
     ExtensionNotDeclared,
+    InvariantViolation,
     NoBinding,
     UnknownEquipment,
     UnknownHandler,
@@ -154,6 +157,34 @@ def test_map_unknown_key_warns(annex1_bytes, sytherm3):
     assert sum("Project" in w for w in record.warnings) == 1
 
 
+def test_map_warns_once_for_an_unknown_key_in_both_headers(annex1_bytes, sytherm3):
+    text = annex1_bytes.decode().replace(
+        "Operator\tProfesor", "Operator\tProfesor\nProject\tthermo-lab").replace(
+        "Channels\t3", "Channels\t3\nProject\tthermo-lab")
+    record = map_lvm_to_record(parse_lvm(text), sytherm3)
+    assert [w for w in record.warnings if "Project" in w] == ["unknown header key 'Project'"]
+
+
+def test_map_a_key_both_declared_and_ignored_is_skipped_silently(annex1_doc, sytherm3):
+    import dataclasses
+    model = dataclasses.replace(
+        sytherm3, ignored_file_keys=sytherm3.ignored_file_keys | {"Operator"})
+    record = map_lvm_to_record(annex1_doc, model)
+    assert "Operator" not in record.values[ConceptCategory.MEASUREMENT_INFORMATION]
+    assert not any("Operator" in w for w in record.warnings)
+
+
+def test_map_a_single_value_segment_line_overrides_the_file_header(annex1_bytes, sytherm3):
+    text = annex1_bytes.decode().replace("Channels\t3", "Channels\t3\nOperator\tStudent1")
+    record = map_lvm_to_record(parse_lvm(text), sytherm3)
+    assert record.get_value(ConceptCategory.MEASUREMENT_INFORMATION, "Operator") == "Student1"
+
+
+def test_map_refuses_a_document_without_segments(sytherm3):
+    with pytest.raises(InvariantViolation, match="^document has no segments$"):
+        map_lvm_to_record(LvmDocument(LvmFileHeader(), []), sytherm3)
+
+
 def test_map_channel_count_mismatch(annex1_doc):
     with pytest.raises(ChannelCountMismatch):
         map_lvm_to_record(annex1_doc, builtin_sytherm(2))
@@ -192,6 +223,17 @@ def test_mapping_totality_over_serialized_documents(seed, channels):
     record = map_lvm_to_record(doc, builtin_sytherm(channels))
     stored = {name for values in record.values.values() for name in values}
     assert "Writer_Version" not in stored and "Reader_Version" not in stored
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_mapped_values_follow_the_declaration_order(seed, channels):
+    model = builtin_sytherm(channels)
+    doc = parse_lvm(serialize_lvm(random_document(random.Random(seed), channels=channels)))
+    record = map_lvm_to_record(doc, model)
+    for category, values in record.values.items():
+        declared = [p.name for p in model.by_category(category)]
+        assert list(values) == [name for name in declared if name in values]
 
 
 def test_import_file(tmp_path, seeded, annex1_bytes):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import time
 from datetime import date
 
@@ -120,6 +121,18 @@ def test_missing_magic_line():
 def test_missing_file_terminator():
     with pytest.raises(MissingHeaderTerminator):
         parse_lvm("LabVIEW Measurement\nSeparator\tTab\n")
+
+
+def test_file_ending_after_the_file_header_has_no_segment():
+    with pytest.raises(MissingHeaderTerminator, match="no segment found after file header"):
+        parse_lvm("LabVIEW Measurement\nSeparator\tTab\n***End_of_Header***\n")
+
+
+def test_file_ending_after_a_segment_header_has_no_column_row():
+    text = MINIMAL.replace("X_Value\tChannel 0\n", "")
+    with pytest.raises(ChannelCountMismatch, match="column-name row missing") as info:
+        parse_lvm(text)
+    assert (info.value.expected, info.value.found) == (2, 0)
 
 
 def test_missing_segment_terminator():
@@ -254,6 +267,36 @@ def test_serializer_rejects_non_finite_values():
     doc.segments[0].rows = []
     doc.segments[0].x0 = [float("inf")]
     with pytest.raises(InvariantViolation):
+        serialize_lvm(doc)
+
+
+def _header(**changes):
+    def breaks(doc):
+        doc.header = dataclasses.replace(doc.header, **changes)
+    return breaks
+
+
+def _segment(**changes):
+    def breaks(doc):
+        doc.segments[0] = dataclasses.replace(doc.segments[0], **changes)
+    return breaks
+
+
+@pytest.mark.parametrize("breaks, message", [
+    (_header(decimal_separator=";"), "decimal_separator must be '.' or ','"),
+    (lambda doc: doc.segments.clear(), "document has no segments"),
+    (_header(operator="two\nlines"), "contains a line break"),
+    (_segment(channels=0), "segment must have at least one channel"),
+    (_segment(x0=[0.0, 0.0]), "x0 length != channels"),
+    (_segment(column_names=["X_Value", "Channel 0", "Channel 1"]),
+     "column_names length != 1 + channels"),
+], ids=["decimal separator", "no segments", "line break", "no channel", "channel list",
+        "column names"])
+def test_serializer_refuses_a_document_it_cannot_represent(breaks, message):
+    doc = parse_lvm(MINIMAL)
+    serialize_lvm(doc)
+    breaks(doc)
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
         serialize_lvm(doc)
 
 

@@ -382,6 +382,12 @@ def test_definition_malformed(line):
         parse_model_definition(f"name: E\n{line}\n")
 
 
+def test_definition_skips_comment_lines(sytherm3):
+    text = "# a SYTHERM model\n" + render_model_definition(sytherm3).replace(
+        "param:", "  # the parameters\nparam:", 1)
+    assert parse_model_definition(text) == sytherm3
+
+
 def test_definition_requires_name():
     with pytest.raises(MalformedDefinition):
         parse_model_definition("producer: x\n")

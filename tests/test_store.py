@@ -22,6 +22,7 @@ from lvmforge import (
     ValueType,
     builtin_sytherm,
     export_csv,
+    export_xml,
     import_file,
     init_schema,
     map_lvm_to_record,
@@ -345,16 +346,23 @@ def test_put_measurement_rejects_a_sample_that_is_not_a_finite_real(
 def test_put_measurement_rejects_a_point_that_is_not_a_pair(store):
     """A triple and a single in one chunk bind as many values as two pairs
     do, so the chunk would be stored shifted; put refuses the triple before
-    it writes a row."""
+    it writes a row.  Flat samples, a None point and a generator of points
+    are refused as well, with TypeMismatch rather than a raw TypeError."""
     model = builtin_sytherm(1)
     store.put_equipment(model)
     points = [(float(i), i / 2) for i in range(_BATCH)]
     points[2:4] = [points[2] + (1.0,), points[3][:1]]
     before = {t: count(store, t) for t in EXPECTED_TABLES}
-    with pytest.raises(TypeMismatch, match=re.escape(
-            f"rejects {points[2]!r}: a point must be an (x, y) pair")):
-        store.put_measurement(_channel_record(model, tuple(points)))
-    assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+    pair = "a point must be an (x, y) pair"
+    for bad, refusal in ((tuple(points), f"rejects {points[2]!r}: {pair}"),
+                         ((1.0, 2.0), f"rejects 1.0: {pair}"),
+                         (((1.0, 2.0), None), f"rejects None: {pair}"),
+                         ((p for p in ((1.0, 2.0),)),
+                          ">: points must be a tuple or list of (x, y) pairs")):
+        with pytest.raises(TypeMismatch) as info:
+            store.put_measurement(_channel_record(model, bad))
+        assert str(info.value).endswith(refusal), bad
+        assert {t: count(store, t) for t in EXPECTED_TABLES} == before
 
 
 def test_measurement_roundtrip(store, sytherm3, annex_record):
@@ -457,6 +465,23 @@ def test_update_value_readback(store, sytherm3, annex_record):
     store.update_value(msr, "Operator", "Student1")
     loaded = store.get_measurement(msr)
     assert loaded.get_value(ConceptCategory.MEASUREMENT_INFORMATION, "Operator") == "Student1"
+
+
+def test_an_edit_adds_a_missing_value_in_declaration_order(store, sytherm3, annex1_bytes):
+    """A value the file lacked, set by an edit, reads back and exports where
+    the model declares it, as if the file had held it."""
+    store.put_equipment(sytherm3)
+    stamp = datetime(2024, 3, 1, 10, 0, 0)
+    edited, reference = (
+        store.put_measurement(map_lvm_to_record(parse_lvm(data), sytherm3,
+                                                source_file="annex1.lvm", imported_at=stamp))
+        for data in (annex1_bytes.replace(b"Operator\tProfesor\n", b""), annex1_bytes))
+    store.update_value(edited, "Operator", "Profesor")
+    got, want = store.get_measurement(edited), store.get_measurement(reference)
+    assert list(got.values[ConceptCategory.MEASUREMENT_INFORMATION]) == [
+        "Operator", "Date", "Time"]
+    assert export_csv(got) == export_csv(want)
+    assert export_xml(got) == export_xml(want)
 
 
 def test_update_value_type_mismatch(store, sytherm3, annex_record):
@@ -787,6 +812,22 @@ def test_series_reads_and_delete_sort_nothing(store, sytherm3, annex_record):
     for sql in series_sql:
         plan = " | ".join(r[3] for r in store._conn.execute("EXPLAIN QUERY PLAN " + sql))
         assert "TEMP B-TREE" not in plan and "PRIMARY KEY" in plan, (sql, plan)
+
+
+def test_get_measurement_sorts_nothing(store, sytherm3, annex_record):
+    """No statement get_measurement sends plans a temporary B-tree: the
+    values come in prm_number (declaration) order along the (msr_number,
+    prm_number) index, each series along the primary key."""
+    store.put_equipment(sytherm3)
+    msr = store.put_measurement(annex_record)
+    sent = []
+    store._conn.set_trace_callback(sent.append)
+    store.get_measurement(msr)
+    store._conn.set_trace_callback(None)
+    assert any("t_val_values" in sql for sql in sent)
+    for sql in sent:
+        plan = " | ".join(r[3] for r in store._conn.execute("EXPLAIN QUERY PLAN " + sql))
+        assert "TEMP B-TREE" not in plan, (sql, plan)
 
 
 _BOUNDARY_LENGTHS = (0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1)
