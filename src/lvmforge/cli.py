@@ -21,7 +21,7 @@ from datetime import date, datetime
 from . import analysis, export as export_mod, store as store_mod
 from .errors import IndexOutOfRange, LvmforgeError
 from .ingest import LVM_HANDLER_ID, ParsingBinding, ParsingProcedure, import_file
-from .lvm import HighPrecisionTime, read_date, read_text, serialize_lvm
+from .lvm import HighPrecisionTime, read_date, read_real, read_text, serialize_lvm
 from .model import (
     ConceptCategory,
     builtin_sytherm,
@@ -33,11 +33,15 @@ from .model import (
 STORE_ENV_VAR = "LVMFORGE_STORE"
 
 
+def _real(text: str) -> float:
+    value = read_real(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not a real: {text!r}")
+    return value
+
+
 def _reals(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(map(float, text.split(",")))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of reals: {text!r}") from None
+    return tuple(map(_real, text.split(",")))
 
 
 def _date(text: str) -> date:
@@ -123,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", type=int)
     p.add_argument("--refs", required=True, type=_reals, metavar="T1,T2,...",
                    help="reference temperatures, one per sample")
-    p.add_argument("--tref30", type=float, required=True,
+    p.add_argument("--tref30", type=_real, required=True,
                    help="reference temperature at ambient")
     p.add_argument("--channel", type=int, default=0)
     p.set_defaults(func=_cmd_analyze_nonlin)
@@ -133,12 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze_tau)
 
     p = sub.add_parser("gen", help="generate a synthetic first-order .lvm file")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--y0", type=float, required=True)
-    p.add_argument("--yinf", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
+    p.add_argument("--tau", type=_real, required=True)
+    p.add_argument("--y0", type=_real, required=True)
+    p.add_argument("--yinf", type=_real, required=True)
+    p.add_argument("--dt", type=_real, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=_real, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--channels", type=int, default=1)
     p.add_argument("--operator", default="Generator")

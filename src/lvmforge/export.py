@@ -91,7 +91,8 @@ def export_xml(record: MeasurementRecord) -> bytes:
 def export_csv(record: MeasurementRecord) -> bytes:
     """Two sections: metadata rows (category,parameter,type,unit,value) and,
     after a blank line, the series block with an X_Value header row and one
-    6-decimal row per abscissa.  Standard CSV quoting, LF line endings."""
+    6-decimal row per sample (see _series_columns).  Standard CSV quoting, LF
+    line endings."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["category", "parameter", "type", "unit", "value"])
@@ -102,20 +103,23 @@ def export_csv(record: MeasurementRecord) -> bytes:
     if record.series:
         writer.writerow([])
         writer.writerow(["X_Value"] + [s.name for s in record.series])
-        # column-wise: each number is formatted once, and each channel's
-        # x -> y text map keeps the last y of a repeated x
-        xs = _abscissae(record)
-        cells = [[FIXED6 % x for x in xs]]
-        for series in record.series:
-            ys = {x: FIXED6 % y for x, y in series.points}
-            cells.append([ys.get(x, "") for x in xs])
-        buffer.writelines(row + "\n" for row in map(",".join, zip(*cells)))
+        buffer.writelines(row + "\n" for row in map(",".join, zip(*_series_columns(record))))
     return buffer.getvalue().encode("utf-8")
 
 
-def _abscissae(record: MeasurementRecord) -> list[float]:
-    """X values in file order; the ordered union if channels disagree."""
+def _series_columns(record: MeasurementRecord) -> list[list[str]]:
+    """The series block's cells column-wise, each number formatted once: the
+    x column, then one y column per channel.  When every channel has the same
+    abscissae, the y columns hold the points in order, so a repeated x keeps
+    each of its samples.  Otherwise x runs over the ordered union of the
+    abscissae, and a channel's cell holds its last y at that x, or nothing."""
     xs = [x for x, _ in record.series[0].points]
     if all([x for x, _ in s.points] == xs for s in record.series[1:]):
-        return xs
-    return list(dict.fromkeys(x for series in record.series for x, _ in series.points))
+        return [[FIXED6 % x for x in xs]] + [[FIXED6 % y for _, y in s.points]
+                                             for s in record.series]
+    xs = list(dict.fromkeys(x for series in record.series for x, _ in series.points))
+    columns = [[FIXED6 % x for x in xs]]
+    for series in record.series:
+        ys = {x: FIXED6 % y for x, y in series.points}
+        columns.append([ys.get(x, "") for x in xs])
+    return columns

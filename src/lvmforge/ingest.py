@@ -142,7 +142,7 @@ def map_lvm_to_record(doc: LvmDocument, model: EquipmentModel,
             record.aux["Notes"] = value
         elif isinstance(value, str):
             texts[key] = value
-        elif value:
+        else:
             record.aux[key] = " ".join(value)
             texts.setdefault(key, value[0])
     ignored = model.ignored_file_keys

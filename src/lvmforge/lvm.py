@@ -18,10 +18,18 @@ one ``float()`` per field; any other row takes the field-by-field grammar
 checks, which name the line and field of the first bad value.
 
 This module is the one owner of how a value is written as text and read
-back: the real, integer, boolean, date and time grammars (``read_*``), the
-renderers (``format_*``) and the file- and segment-header field lists.
-The parser and serializer here, the equipment model's ``validate_value``
-and ``render_canonical``, the importer and the exporters all use them.
+back: the real, integer, boolean, date and time grammars (``read_*``, ASCII
+digits only), the renderers (``format_*``) and the file- and segment-header
+field lists.  The parser and serializer here, the equipment model's
+``validate_value`` and ``render_canonical``, the importer and the exporters
+all use them.
+
+Each header line is declared once, in canonical order, as one row of
+``_FILE_LINES`` or ``_SEGMENT_LINES``: its key, the dataclass field it
+fills, its reader and renderer (and, for a segment line, its default
+entries).  The parser, ``file_header_fields`` and ``segment_header_fields``
+(and through them the serializer and the importer) and the key sets read
+those tables, so a new header line is a new field and one more row.
 """
 
 from __future__ import annotations
@@ -81,8 +89,8 @@ class HighPrecisionTime:
         if not (0 <= self.hours <= 23 and 0 <= self.minutes <= 59
                 and 0 <= self.seconds <= 60):
             raise InvariantViolation(f"time out of range: {self}")
-        if self.fraction_digits and not self.fraction_digits.isdigit():
-            raise InvariantViolation("fraction_digits must be decimal digits")
+        if self.fraction_digits and not re.fullmatch("[0-9]+", self.fraction_digits):
+            raise InvariantViolation("fraction_digits must be ASCII decimal digits")
 
     def render(self, decimal_separator: str = ".") -> str:
         base = f"{self.hours:02d}:{self.minutes:02d}:{self.seconds:02d}"
@@ -149,16 +157,17 @@ _BOOL_WORDS = {"yes": True, "true": True, "no": False, "false": False}
 
 def _real_pattern(ds: str) -> re.Pattern:
     d = f"[{re.escape(ds)}]"
-    return re.compile(rf"^[+-]?(?:\d+(?:{d}\d*)?|{d}\d+)(?:[eE][+-]?\d+)?$")
+    return re.compile(rf"^[+-]?(?:\d+(?:{d}\d*)?|{d}\d+)(?:[eE][+-]?\d+)?$", re.ASCII)
 
 
 def _time_pattern(ds: str) -> re.Pattern:
-    return re.compile(rf"^(\d{{1,2}}):(\d{{1,2}}):(\d{{1,2}})(?:[{re.escape(ds)}](\d+))?$")
+    return re.compile(rf"^(\d{{1,2}}):(\d{{1,2}}):(\d{{1,2}})(?:[{re.escape(ds)}](\d+))?$",
+                      re.ASCII)
 
 
 _REAL_PATTERNS = {ds: _real_pattern(ds) for ds in (".", ",", ANY_DECIMAL)}
 _TIME_PATTERNS = {ds: _time_pattern(ds) for ds in (".", ",", ANY_DECIMAL)}
-_INT_PATTERN = re.compile(r"^[+-]?\d+$")
+_INT_PATTERN = re.compile(r"^[+-]?\d+$", re.ASCII)
 
 
 def read_real(text: str, ds: str = ".") -> Optional[float]:
@@ -181,8 +190,9 @@ def read_bool(text: str) -> Optional[bool]:
 
 
 def read_date(text: str) -> Optional[Date]:
+    """YYYY/MM/DD; strptime alone would read a year in other scripts' digits."""
     try:
-        return datetime.strptime(text, "%Y/%m/%d").date()
+        return datetime.strptime(text, "%Y/%m/%d").date() if text.isascii() else None
     except ValueError:
         return None
 
@@ -240,36 +250,56 @@ def format_date(value: Date) -> str:
     return f"{value.year:04d}/{value.month:02d}/{value.day:02d}"
 
 
-# the file-header lines of the one supported layout, one X column and one
-# heading row; the parser refuses any other value
-_FIXED_HEADER_LINES = {"Multi_Headings": "No", "X_Columns": "One"}
+# --- header lines -------------------------------------------------------------
+
+# a line read by one of these reads and renders with the file's decimal separator
+_LOCALIZED = (read_real, read_time)
+
+# key -> (LvmFileHeader field, reader, renderer).  A closed setting reads
+# through its map of legal texts; one without a field is fixed by the one
+# layout supported.  Operator, Date and Time are written only when set.
+_FILE_LINES = {
+    "Writer_Version": ("writer_version", read_int, str),
+    "Reader_Version": ("reader_version", read_int, str),
+    "Separator": ("separator", {s.value: s for s in Separator}, None),
+    "Decimal_Separator": ("decimal_separator", {".": ".", ",": ","}, None),
+    "Multi_Headings": (None, {"No": None}, None),
+    "X_Columns": (None, {"One": None}, None),
+    "Time_Pref": ("time_pref", {p.value: p for p in TimePref}, None),
+    "Operator": ("operator", str, str),
+    "Date": ("date", read_date, format_date),
+    "Time": ("time", read_time, HighPrecisionTime.render),
+}
+
+# key -> (LvmSegment field, reader, renderer, default entries).  Notes and
+# Channels hold one value; a segment that lacks a list gets default * channels.
+_SEGMENT_LINES = {
+    "Notes": ("notes", str, str, None),
+    "Channels": ("channels", read_int, str, None),
+    "Samples": ("samples_per_channel", read_int, str, (1,)),
+    "Date": ("channel_dates", read_date, format_date, ()),
+    "Time": ("channel_times", read_time, HighPrecisionTime.render, ()),
+    "X_Dimension": ("x_dimension", str, str, ("Time",)),
+    "X0": ("x0", read_real, format_sci16, (0.0,)),
+    "Delta_X": ("delta_x", read_real, format_fixed6, (1.0,)),
+}
 
 # the keys the parser reads into a field, per level; any other key is an
 # extra key, kept verbatim
-FILE_HEADER_KEYS = frozenset({"Writer_Version", "Reader_Version", "Separator",
-                              "Decimal_Separator", *_FIXED_HEADER_LINES, "Time_Pref",
-                              "Operator", "Date", "Time"})
-SEGMENT_HEADER_KEYS = frozenset({"Notes", "Channels", "Samples", "Date", "Time",
-                                 "X_Dimension", "X0", "Delta_X"})
+FILE_HEADER_KEYS = frozenset(_FILE_LINES)
+SEGMENT_HEADER_KEYS = frozenset(_SEGMENT_LINES)
 
 
 def file_header_fields(header: LvmFileHeader, ds: str) -> list[tuple[str, str]]:
     """The file header's (key, value) lines in canonical order, reals and
     times rendered with decimal separator ds."""
-    fields = [
-        ("Writer_Version", str(header.writer_version)),
-        ("Reader_Version", str(header.reader_version)),
-        ("Separator", header.separator.value),
-        ("Decimal_Separator", header.decimal_separator),
-        *_FIXED_HEADER_LINES.items(),
-        ("Time_Pref", header.time_pref.value),
-    ]
-    if header.operator:
-        fields.append(("Operator", header.operator))
-    if header.date is not None:
-        fields.append(("Date", format_date(header.date)))
-    if header.time is not None:
-        fields.append(("Time", header.time.render(ds)))
+    fields = []
+    for key, (name, read, render) in _FILE_LINES.items():
+        value = getattr(header, name) if name else None
+        if render is None:  # a closed setting, always written
+            fields.append((key, next((t for t, v in read.items() if v == value), value)))
+        elif value not in ("", None):
+            fields.append((key, render(value, ds) if read in _LOCALIZED else render(value)))
     fields.extend(header.extra_keys.items())
     return fields
 
@@ -280,17 +310,13 @@ def segment_header_fields(segment: LvmSegment,
     rendered with decimal separator ds: (key, str) for a single value
     (Notes, Channels, unrecognized keys), else (key, one str per channel)."""
     fields: list[tuple[str, Union[str, list[str]]]] = []
-    if segment.notes is not None:
-        fields.append(("Notes", segment.notes))
-    fields.append(("Channels", str(segment.channels)))
-    fields.append(("Samples", [str(s) for s in segment.samples_per_channel]))
-    if segment.channel_dates:
-        fields.append(("Date", [format_date(d) for d in segment.channel_dates]))
-    if segment.channel_times:
-        fields.append(("Time", [t.render(ds) for t in segment.channel_times]))
-    fields.append(("X_Dimension", list(segment.x_dimension)))
-    fields.append(("X0", [format_sci16(v, ds) for v in segment.x0]))
-    fields.append(("Delta_X", [format_fixed6(v, ds) for v in segment.delta_x]))
+    for key, (name, read, render, default) in _SEGMENT_LINES.items():
+        value = getattr(segment, name)
+        if default is None and value is not None:
+            fields.append((key, render(value)))
+        elif default is not None and value:
+            args = (ds,) if read in _LOCALIZED else ()
+            fields.append((key, [render(v, *args) for v in value]))
     fields.extend(segment.extra_keys.items())
     return fields
 
@@ -327,12 +353,13 @@ def _reject_row(fields: list[str], ds: str, line_no: int) -> None:
 
 
 def _mismatched_channel_list(segment: LvmSegment) -> Optional[str]:
-    """The first per-channel list whose length is not the channel count
-    (dates and times may also be empty), or None."""
-    required = ("samples_per_channel", "x_dimension", "x0", "delta_x")
-    for name in required + ("channel_dates", "channel_times"):
+    """The first per-channel list whose length is not the channel count, or
+    None; lists with default entries first, and the others may be empty."""
+    lists = [(name, default) for name, _, _, default in _SEGMENT_LINES.values()
+             if default is not None]
+    for name, default in sorted(lists, key=lambda item: not item[1]):
         length = len(getattr(segment, name))
-        if length != segment.channels and (length or name in required):
+        if length != segment.channels and (length or default):
             return name
     return None
 
@@ -411,48 +438,36 @@ def _parse_file_header(cursor: _Lines) -> LvmFileHeader:
 
     # The separator declaration is needed before the other lines can be
     # split: read the first line keyed "Separator" (then a tab, a comma or end).
-    value = next((line[10:] for line, _ in raw
+    first = next((line[10:] for line, _ in raw
                   if line[:10] in ("Separator", "Separator\t", "Separator,")), "Tab")
-    sep = {"Tab": "\t", "Comma": ","}.get(value)
-    if sep is None:
-        raise UnsupportedFeature(f"Separator={value!r}")
+    separators = _FILE_LINES["Separator"][1]
+    if first not in separators:
+        raise UnsupportedFeature(f"Separator={first!r}")
+    sep = separators[first].char
 
     fields: dict[str, object] = {}
     extra: dict[str, str] = {}
-    pending_time: Optional[tuple[str, int]] = None
-    ds = "."
+    localized: dict[str, tuple] = {}
     for line, line_no in raw:
         key, _, value = line.partition(sep)
-        if key == "Writer_Version":
-            fields["writer_version"] = _field(read_int, value, line_no, 2)
-        elif key == "Reader_Version":
-            fields["reader_version"] = _field(read_int, value, line_no, 2)
-        elif key == "Separator":
-            fields["separator"] = Separator.TAB if sep == "\t" else Separator.COMMA
-        elif key == "Decimal_Separator":
-            if value not in (".", ","):
-                raise UnsupportedFeature(f"Decimal_Separator={value!r}")
-            ds = value
-            fields["decimal_separator"] = value
-        elif key in _FIXED_HEADER_LINES:
-            if value != _FIXED_HEADER_LINES[key]:
-                raise UnsupportedFeature(f"{key}={value!r}")
-        elif key == "Time_Pref":
-            try:
-                fields["time_pref"] = TimePref(value)
-            except ValueError:
-                raise UnsupportedFeature(f"Time_Pref={value!r}") from None
-        elif key == "Operator":
-            fields["operator"] = value
-        elif key == "Date":
-            fields["date"] = _field(read_date, value, line_no, 2)
-        elif key == "Time":
-            # decimal separator may be declared after Time; defer
-            pending_time = (value, line_no)
-        else:
+        name, read, _ = _FILE_LINES.get(key, (None, None, None))
+        if key == "Separator":
+            value = first  # every line splits on the first declaration
+        if read is None:
             extra[key] = value
-    if pending_time is not None:
-        fields["time"] = _field(read_time, pending_time[0], pending_time[1], 2, ds)
+        elif isinstance(read, dict):
+            if value not in read:
+                raise UnsupportedFeature(f"{key}={value!r}")
+            if name:
+                fields[name] = read[value]
+        elif read in _LOCALIZED:
+            # the decimal separator may be declared after this line
+            localized[name] = (read, value, line_no)
+        else:
+            fields[name] = _field(read, value, line_no, 2)
+    ds = fields.get("decimal_separator", ".")
+    for name, (read, value, line_no) in localized.items():
+        fields[name] = _field(read, value, line_no, 2, ds)
     return LvmFileHeader(extra_keys=extra, **fields)
 
 
@@ -462,9 +477,7 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
         return None
     cursor.push_back()
 
-    notes: Optional[str] = None
-    channels: Optional[int] = None
-    lists: dict[str, list] = {}
+    fields: dict[str, object] = {}
     extra: dict[str, str] = {}
     while True:
         item = cursor.next_nonblank()
@@ -474,30 +487,17 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
         if _is_terminator(line):
             break
         key, _, value = line.partition(sep)
-        vals = line.split(sep)[1:]
-        if key == "Notes":
-            notes = value
-        elif key == "Channels":
-            channels = _field(read_int, value, line_no, 2)
-        elif key == "Samples":
-            lists["samples_per_channel"] = [_field(read_int, v, line_no, i)
-                                            for i, v in enumerate(vals, 2)]
-        elif key == "Date":
-            lists["channel_dates"] = [_field(read_date, v, line_no, i)
-                                      for i, v in enumerate(vals, 2)]
-        elif key == "Time":
-            lists["channel_times"] = [_field(read_time, v, line_no, i, ds)
-                                      for i, v in enumerate(vals, 2)]
-        elif key == "X_Dimension":
-            lists["x_dimension"] = vals
-        elif key == "X0":
-            lists["x0"] = [_field(read_real, v, line_no, i, ds) for i, v in enumerate(vals, 2)]
-        elif key == "Delta_X":
-            lists["delta_x"] = [_field(read_real, v, line_no, i, ds)
-                                for i, v in enumerate(vals, 2)]
-        else:
+        name, read, _, default = _SEGMENT_LINES.get(key, (None,) * 4)
+        if read is None:
             extra[key] = value
+        elif default is None:
+            fields[name] = _field(read, value, line_no, 2)
+        else:
+            args = (ds,) if read in _LOCALIZED else ()
+            fields[name] = [_field(read, v, line_no, i, *args)
+                            for i, v in enumerate(line.split(sep)[1:], 2)]
 
+    channels = fields.get("channels")
     item = cursor.next_nonblank()
     if item is None:
         raise ChannelCountMismatch(1 + (channels or 0), 0, "column-name row missing")
@@ -506,16 +506,15 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
     has_comment = column_names[-1] == COMMENT_COLUMN
 
     if channels is None:
-        channels = len(column_names) - 1 - (1 if has_comment else 0)
+        channels = fields["channels"] = len(column_names) - 1 - (1 if has_comment else 0)
     expected_cols = 1 + channels + (1 if has_comment else 0)
     if len(column_names) != expected_cols:
         raise ChannelCountMismatch(expected_cols, len(column_names), "column-name row")
 
-    # lists holds LvmSegment fields; a missing list takes its default
-    segment = LvmSegment(
-        channels=channels, notes=notes, column_names=column_names, extra_keys=extra,
-        **{"samples_per_channel": [1] * channels, "x_dimension": ["Time"] * channels,
-           "x0": [0.0] * channels, "delta_x": [1.0] * channels, **lists})
+    defaults = {name: list(default * channels)
+                for name, _, _, default in _SEGMENT_LINES.values() if default}
+    segment = LvmSegment(column_names=column_names, extra_keys=extra,
+                         **{**defaults, **fields})
     name = _mismatched_channel_list(segment)
     if name:
         raise ChannelCountMismatch(channels, len(getattr(segment, name)), name)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date as Date
 from enum import Enum
+from functools import partial
 from typing import Optional, Union
 
 from .errors import (
@@ -165,7 +166,8 @@ def builtin_sytherm(channel_count: int = 3) -> EquipmentModel:
 
     Data: X_Value plus one Channel_k parameter per acquisition channel.
     Measurement: Operator, Date, Time.  Experiment: the .lvm header keys.
-    Writer_Version and Reader_Version are ignored on import.
+    Writer_Version, Reader_Version and Samples are ignored on import; the
+    Samples entries stay in the record's aux notes.
     """
     if not isinstance(channel_count, int) or channel_count < 1:
         raise InvalidChannelCount(f"channel_count must be >= 1, got {channel_count!r}")
@@ -199,13 +201,25 @@ def builtin_sytherm(channel_count: int = 3) -> EquipmentModel:
         description="thermocouple acquisition ensemble",
         extensions=frozenset({"lvm"}),
         parameters=tuple(params),
-        ignored_file_keys=frozenset({"Writer_Version", "Reader_Version"}),
+        ignored_file_keys=frozenset({"Writer_Version", "Reader_Version", "Samples"}),
     )
 
 
 # --- value grammar -----------------------------------------------------------
 
 TypedScalar = Union[int, float, bool, Date, HighPrecisionTime, str]
+
+
+# ValueType -> (reader, renderer, what a rejected text was expected to be);
+# an Enumeration reads against its definition's domain and renders as is
+_GRAMMARS = {
+    ValueType.INTEGER: (read_int, str, "an integer"),
+    ValueType.REAL: (partial(read_real, ds=ANY_DECIMAL), format_real, "a real"),
+    ValueType.BOOLEAN: (read_bool, format_bool, "Yes/No/true/false"),
+    ValueType.DATE: (read_date, format_date, "YYYY/MM/DD"),
+    ValueType.TIME: (partial(read_time, ds=ANY_DECIMAL), HighPrecisionTime.render, "HH:MM:SS[.fff]"),
+    ValueType.STRING: (read_text, str, "UTF-8 text"),
+}
 
 
 def validate_value(definition: ParameterDefinition, raw: str) -> TypedScalar:
@@ -216,27 +230,17 @@ def validate_value(definition: ParameterDefinition, raw: str) -> TypedScalar:
     and times HH:MM:SS with an optional fractional part, strings any text
     UTF-8 can encode.  The grammars are those of :mod:`lvmforge.lvm`.
     """
-    vt = definition.value_type
-    if vt is ValueType.INTEGER:
-        value, expected = read_int(raw), "expected an integer"
-    elif vt is ValueType.REAL:
-        value, expected = read_real(raw, ANY_DECIMAL), "expected a real"
-    elif vt is ValueType.BOOLEAN:
-        value, expected = read_bool(raw), "expected Yes/No/true/false"
-    elif vt is ValueType.DATE:
-        value, expected = read_date(raw), "expected YYYY/MM/DD"
-    elif vt is ValueType.TIME:
-        try:
-            value, expected = read_time(raw, ANY_DECIMAL), "expected HH:MM:SS[.fff]"
-        except InvariantViolation:
-            raise TypeMismatch(definition.name, raw, "time out of range") from None
-    elif vt is ValueType.ENUMERATION:
+    if definition.value_type is ValueType.ENUMERATION:
         value = raw if raw in definition.enum_domain else None
-        expected = f"expected one of {', '.join(definition.enum_domain)}"
-    else:  # String
-        value, expected = read_text(raw), "expected UTF-8 text"
+        expected = f"one of {', '.join(definition.enum_domain)}"
+    else:
+        read, _, expected = _GRAMMARS[definition.value_type]
+        try:
+            value = read(raw)
+        except InvariantViolation:  # a time inside the grammar but out of range
+            raise TypeMismatch(definition.name, raw, "time out of range") from None
     if value is None:
-        raise TypeMismatch(definition.name, raw, expected)
+        raise TypeMismatch(definition.name, raw, f"expected {expected}")
     return value
 
 
@@ -263,16 +267,8 @@ def render_canonical(typed: TypedValue) -> str:
     that value, so the rendering is injective and storage equality is
     value equality.
     """
-    vt, v = typed.value_type, typed.value
-    if vt is ValueType.REAL:
-        return format_real(v)
-    if vt is ValueType.BOOLEAN:
-        return format_bool(v)
-    if vt is ValueType.DATE:
-        return format_date(v)
-    if vt is ValueType.TIME:
-        return v.render(".")
-    return str(v)
+    grammar = _GRAMMARS.get(typed.value_type)
+    return grammar[1](typed.value) if grammar else str(typed.value)
 
 
 # --- definition-file format ---------------------------------------------------

@@ -215,19 +215,30 @@ def test_usage_error_exit_code(cli):
     assert run([]) == 2
 
 
-def test_parser_is_built_once_and_a_usage_error_leaves_no_trace(cli_with_sytherm):
+def test_parser_is_built_once_and_a_usage_error_leaves_no_trace(cli_with_sytherm, tmp_path):
     cli = cli_with_sytherm
     record_id = import_annex(cli)
     assert build_parser() is build_parser()
     commands = (("show", record_id), ("list",))
     first = [(c.out, c.err) for c in (cli(*argv) for argv in commands)]
+    gen = ("gen", "--tau", "1", "--y0", "52", "--yinf", "52", "--dt", "1", "--n", "3",
+           "--out", str(tmp_path / "gen.lvm"))
     for argv in (("list", "--operator", "Nobody", "--bogus"), ("show", "not-a-number"),
                  ("analyze", "tau", record_id, "--channel", "x"),
                  ("analyze", "nonlin", record_id, "--refs", "50,x", "--tref30", "300"),
+                 # reals follow the one real grammar: no nan, inf, '_' or overflow
+                 ("analyze", "nonlin", record_id, "--refs", "nan," * 15 + "50",
+                  "--tref30", "100"),
+                 ("analyze", "nonlin", record_id, "--refs", "50", "--tref30", "inf"),
+                 ("analyze", "nonlin", record_id, "--refs", "1_0", "--tref30", "300"),
+                 ("analyze", "nonlin", record_id, "--refs", "50", "--tref30", "1e999"),
+                 (*gen, "--noise", "nan"), (*gen[:2], "inf", *gen[3:]),
+                 (*gen[:4], "1_0", *gen[5:]),
                  ("no-such-command",)):
         assert cli(*argv, expect=2).err.startswith("usage: lvmforge"), argv
     for _ in range(2):
         assert [(c.out, c.err) for c in (cli(*argv) for argv in commands)] == first
+    assert not (tmp_path / "gen.lvm").exists()
 
 
 def test_missing_store_path(tmp_path, monkeypatch, capsys):

@@ -27,7 +27,8 @@ from lvmforge.model import render_canonical
 
 
 # Reference renderers: the ElementTree XML writer and the CSV writer that
-# looks each cell up in a freshly built x -> y map.  Slow, but their output
+# writes channels on one grid row by row, and looks each cell of channels on
+# different grids up in a freshly built x -> y map.  Slow, but their output
 # is the byte-exact contract of export_xml and export_csv.
 
 def reference_xml(record):
@@ -70,13 +71,15 @@ def reference_csv(record):
         writer.writerow([])
         writer.writerow(["X_Value"] + [s.name for s in record.series])
         xs = [x for x, _ in record.series[0].points]
-        if not all([x for x, _ in s.points] == xs for s in record.series[1:]):
-            merged = {}
-            for series in record.series:
-                for x, _ in series.points:
-                    merged.setdefault(x)
-            xs = list(merged)
-        for x in xs:
+        if all([x for x, _ in s.points] == xs for s in record.series[1:]):
+            for i, x in enumerate(xs):
+                writer.writerow([f"{x:.6f}"] + [f"{s.points[i][1]:.6f}" for s in record.series])
+            return buffer.getvalue().encode("utf-8")
+        merged = {}
+        for series in record.series:
+            for x, _ in series.points:
+                merged.setdefault(x)
+        for x in merged:
             row = [f"{x:.6f}"]
             for series in record.series:
                 y = dict(series.points).get(x)
@@ -210,6 +213,18 @@ def test_csv_series_block(annex_record):
     assert lines[header_index + 1] == "0.000000,23.400000,23.400000,23.600000"
     assert lines[header_index - 1] == ""  # blank line before the series block
     assert lines[0] == "category,parameter,type,unit,value"
+
+
+def test_csv_keeps_every_sample_at_a_repeated_abscissa():
+    text = ("LabVIEW Measurement\nSeparator\tTab\nDecimal_Separator\t.\n***End_of_Header***\n"
+            "Channels\t1\n***End_of_Header***\nX_Value\tChannel 0\n"
+            "0\t20.5\n1\t21.5\n1\t22.5\n2\t23.5\n")
+    record = map_lvm_to_record(parse_lvm(text), builtin_sytherm(1),
+                               imported_at=datetime(2024, 1, 1))
+    lines = export_csv(record).decode().splitlines()
+    assert lines[lines.index("X_Value,Channel_0") + 1:] == [
+        "0.000000,20.500000", "1.000000,21.500000", "1.000000,22.500000", "2.000000,23.500000"]
+    assert len(ET.fromstring(export_xml(record)).findall("series/point")) == 4
 
 
 def test_csv_quoting():

@@ -150,6 +150,12 @@ def test_map_ignored_keys_absent(annex1_doc, sytherm3):
                    for w in record.warnings)
 
 
+def test_map_annex1_gives_no_warning(annex1_doc, sytherm3):
+    record = map_lvm_to_record(annex1_doc, sytherm3)
+    assert record.warnings == []
+    assert record.aux["Samples"] == "1 1 1"
+
+
 def test_map_unknown_key_warns(annex1_bytes, sytherm3):
     text = annex1_bytes.decode().replace(
         "Operator\tProfesor", "Operator\tProfesor\nProject\tthermo-lab")

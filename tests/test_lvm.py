@@ -151,6 +151,21 @@ def test_malformed_number_position():
         assert info.value.column == 2
 
 
+def test_grammars_take_only_ascii_digits():
+    # "١" (ARABIC-INDIC DIGIT ONE) is a digit to \d, float() and strptime's %Y
+    assert lvm.read_date("٢٠١٣/02/06") is None
+    for text in ("١", "1.٥", "٥e1"):
+        assert lvm.read_real(text, lvm.ANY_DECIMAL) is None
+    assert lvm.read_int("١") is None
+    for text in ("١2:00:00", "12:00:00.٥"):
+        assert lvm.read_time(text, lvm.ANY_DECIMAL) is None
+    for text, line, column in ((MINIMAL.replace("Channels\t1", "Channels\t١"), 5, 2),
+                               (MINIMAL + "1.5\t2١\n", 8, 2)):
+        with pytest.raises(MalformedNumber) as info:
+            parse_lvm(text)
+        assert (info.value.line, info.value.column) == (line, column)
+
+
 def test_overflowing_header_real_is_malformed(annex1_bytes):
     # 1e999 overflows to inf, which no renderer writes back (format_sci16 fails)
     text = annex1_bytes.decode().replace("X0\t0,0000000000000000E+0", "X0\t1e999", 1)
@@ -175,8 +190,8 @@ def test_row_field_count_mismatch():
 
 
 def test_header_list_length_mismatch():
-    bad = MINIMAL.replace("Channels\t1", "Channels\t2\nDelta_X\t1.000000")
-    with pytest.raises(ChannelCountMismatch):
+    bad = MINIMAL.replace("Channels\t1", "Channels\t1\nDelta_X\t1.0\t1.0")
+    with pytest.raises(ChannelCountMismatch, match=r"^expected 1, found 2 \(delta_x\)$"):
         parse_lvm(bad)
 
 
@@ -186,6 +201,7 @@ def test_header_list_length_mismatch():
     ("Multi_Headings\tNo", "Multi_Headings\tYes"),
     ("Separator\tTab", "Separator\tSpace"),
     ("Decimal_Separator\t,", "Decimal_Separator\t;"),
+    ("Time_Pref\tAbsolute", "Time_Pref\tSometimes"),
 ])
 def test_unsupported_features(annex1_bytes, line, replacement):
     text = annex1_bytes.decode()
@@ -355,8 +371,10 @@ def test_high_precision_time_fraction_verbatim():
 def test_high_precision_time_range_checks():
     with pytest.raises(InvariantViolation):
         HighPrecisionTime(24, 0, 0)
-    with pytest.raises(InvariantViolation):
-        HighPrecisionTime(0, 0, 0, "12a")
+    # "²" and "١" are digits to str.isdigit, but no time grammar reads them
+    for digits in ("12a", "²", "1١"):
+        with pytest.raises(InvariantViolation):
+            HighPrecisionTime(0, 0, 0, digits)
 
 
 @settings(max_examples=120, deadline=None)

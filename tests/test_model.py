@@ -146,7 +146,8 @@ def test_builtin_sytherm_3(sytherm3):
     # recounted from the built-in listing: X_Value + 3 Measurement + 9 Experiment
     assert len(sytherm3.parameters) - len(channel) == 13
     assert len(sytherm3.parameters) == 16
-    assert sytherm3.ignored_file_keys == frozenset({"Writer_Version", "Reader_Version"})
+    assert sytherm3.ignored_file_keys == frozenset({"Writer_Version", "Reader_Version",
+                                                    "Samples"})
 
 
 def test_builtin_sytherm_1_data_category():
