@@ -20,8 +20,8 @@ from datetime import date, datetime
 
 from . import analysis, export as export_mod, store as store_mod
 from .errors import IndexOutOfRange, LvmforgeError
-from .ingest import LVM_HANDLER_ID, ParsingBinding, ParsingProcedure, import_file
-from .lvm import HighPrecisionTime, read_date, read_real, read_text, serialize_lvm
+from .ingest import ParsingBinding, ParsingProcedure, import_file
+from .lvm import HighPrecisionTime, read_date, read_int, read_real, read_text, serialize_lvm
 from .model import (
     ConceptCategory,
     builtin_sytherm,
@@ -31,6 +31,13 @@ from .model import (
 )
 
 STORE_ENV_VAR = "LVMFORGE_STORE"
+
+
+def _int(text: str) -> int:
+    value = read_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return value
 
 
 def _real(text: str) -> float:
@@ -74,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.set_defaults(func=_cmd_model_show)
     p = model_sub.add_parser("sytherm", help="install the built-in SYTHERM model")
-    p.add_argument("--channels", type=int, default=3)
+    p.add_argument("--channels", type=_int, default=3)
     p.set_defaults(func=_cmd_model_sytherm)
 
     proc = sub.add_parser("proc", help="manage parsing procedures")
@@ -102,21 +109,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_list)
 
     p = sub.add_parser("show", help="print one measurement")
-    p.add_argument("id", type=int)
+    p.add_argument("id", type=_int)
     p.set_defaults(func=_cmd_show)
 
     p = sub.add_parser("edit", help="replace one parameter value")
-    p.add_argument("id", type=int)
+    p.add_argument("id", type=_int)
     p.add_argument("parameter")
     p.add_argument("value")
     p.set_defaults(func=_cmd_edit)
 
     p = sub.add_parser("remove", help="delete one measurement")
-    p.add_argument("id", type=int)
+    p.add_argument("id", type=_int)
     p.set_defaults(func=_cmd_remove)
 
     p = sub.add_parser("export", help="export a measurement")
-    p.add_argument("id", type=int)
+    p.add_argument("id", type=_int)
     p.add_argument("--format", required=True, choices=["xml", "csv"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export)
@@ -124,16 +131,16 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="thermocouple analyses")
     analyze_sub = analyze.add_subparsers(dest="analyze_command", required=True)
     p = analyze_sub.add_parser("nonlin", help="per-point non-linearity error")
-    p.add_argument("id", type=int)
+    p.add_argument("id", type=_int)
     p.add_argument("--refs", required=True, type=_reals, metavar="T1,T2,...",
                    help="reference temperatures, one per sample")
     p.add_argument("--tref30", type=_real, required=True,
                    help="reference temperature at ambient")
-    p.add_argument("--channel", type=int, default=0)
+    p.add_argument("--channel", type=_int, default=0)
     p.set_defaults(func=_cmd_analyze_nonlin)
     p = analyze_sub.add_parser("tau", help="first-order time constant")
-    p.add_argument("id", type=int)
-    p.add_argument("--channel", type=int, default=0)
+    p.add_argument("id", type=_int)
+    p.add_argument("--channel", type=_int, default=0)
     p.set_defaults(func=_cmd_analyze_tau)
 
     p = sub.add_parser("gen", help="generate a synthetic first-order .lvm file")
@@ -141,10 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y0", type=_real, required=True)
     p.add_argument("--yinf", type=_real, required=True)
     p.add_argument("--dt", type=_real, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--noise", type=_real, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--channels", type=int, default=1)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--channels", type=_int, default=1)
     p.add_argument("--operator", default="Generator")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
@@ -229,7 +236,7 @@ def _cmd_model_sytherm(args) -> int:
 
 
 def _cmd_proc_add(args) -> int:
-    procedure = ParsingProcedure(args.name, LVM_HANDLER_ID)
+    procedure = ParsingProcedure(args.name)
     with _open_store(args) as store:
         store.put_procedure(procedure)
     print(procedure.name)

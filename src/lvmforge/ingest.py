@@ -8,9 +8,9 @@ LVM_PARSING_LVM.
 
 Equipments, procedures and bindings live in the store alone, and the store
 applies every dispatch rule over them (Store.put_procedure, put_binding,
-resolve).  The .lvm parser is the only implementation: every procedure
-names it by ``LVM_HANDLER_ID``, and a procedure with any other handler id
-cannot be built.
+resolve).  The .lvm parser is the only implementation: a procedure names
+it by ``LVM_HANDLER_ID``, its default handler id, and a procedure with any
+other handler id cannot be built.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ LVM_HANDLER_ID = "builtin.lvm"
 @dataclass(frozen=True)
 class ParsingProcedure:
     name: str
-    handler_id: str
+    handler_id: str = LVM_HANDLER_ID
 
     def __post_init__(self):
         if not self.name.strip():

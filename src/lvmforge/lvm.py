@@ -148,7 +148,8 @@ class LvmDocument:
 #
 # ``ds`` names the decimal separator a text may use: ".", "," or
 # ANY_DECIMAL, which accepts either (the equipment-model convention).
-# Readers return None for text outside the grammar.
+# Readers return None for text outside the grammar.  A pattern must match
+# the whole text (fullmatch), so a trailing line break is outside it.
 
 ANY_DECIMAL = ".,"
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -157,23 +158,23 @@ _BOOL_WORDS = {"yes": True, "true": True, "no": False, "false": False}
 
 def _real_pattern(ds: str) -> re.Pattern:
     d = f"[{re.escape(ds)}]"
-    return re.compile(rf"^[+-]?(?:\d+(?:{d}\d*)?|{d}\d+)(?:[eE][+-]?\d+)?$", re.ASCII)
+    return re.compile(rf"[+-]?(?:\d+(?:{d}\d*)?|{d}\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 
 def _time_pattern(ds: str) -> re.Pattern:
-    return re.compile(rf"^(\d{{1,2}}):(\d{{1,2}}):(\d{{1,2}})(?:[{re.escape(ds)}](\d+))?$",
+    return re.compile(rf"(\d{{1,2}}):(\d{{1,2}}):(\d{{1,2}})(?:[{re.escape(ds)}](\d+))?",
                       re.ASCII)
 
 
 _REAL_PATTERNS = {ds: _real_pattern(ds) for ds in (".", ",", ANY_DECIMAL)}
 _TIME_PATTERNS = {ds: _time_pattern(ds) for ds in (".", ",", ANY_DECIMAL)}
-_INT_PATTERN = re.compile(r"^[+-]?\d+$", re.ASCII)
+_INT_PATTERN = re.compile(r"[+-]?\d+", re.ASCII)
 
 
 def read_real(text: str, ds: str = ".") -> Optional[float]:
     """A finite real: text that overflows to infinity (``1e999``) is
     outside the grammar, as no renderer or reader takes it back."""
-    if not _REAL_PATTERNS[ds].match(text):
+    if not _REAL_PATTERNS[ds].fullmatch(text):
         return None
     # the pattern admits no decimal character other than ds
     value = float(text.replace(",", "."))
@@ -181,7 +182,7 @@ def read_real(text: str, ds: str = ".") -> Optional[float]:
 
 
 def read_int(text: str) -> Optional[int]:
-    return int(text) if _INT_PATTERN.match(text) else None
+    return int(text) if _INT_PATTERN.fullmatch(text) else None
 
 
 def read_bool(text: str) -> Optional[bool]:
@@ -200,7 +201,7 @@ def read_date(text: str) -> Optional[Date]:
 def read_time(text: str, ds: str = ".") -> Optional[HighPrecisionTime]:
     """HH:MM:SS with optional fraction digits after ds; raises
     InvariantViolation when the text fits the grammar but is out of range."""
-    m = _TIME_PATTERNS[ds].match(text)
+    m = _TIME_PATTERNS[ds].fullmatch(text)
     if not m:
         return None
     return HighPrecisionTime(int(m.group(1)), int(m.group(2)), int(m.group(3)),
@@ -436,14 +437,9 @@ def _parse_file_header(cursor: _Lines) -> LvmFileHeader:
             break
         raw.append((line, line_no))
 
-    # The separator declaration is needed before the other lines can be
-    # split: read the first line keyed "Separator" (then a tab, a comma or end).
-    first = next((line[10:] for line, _ in raw
-                  if line[:10] in ("Separator", "Separator\t", "Separator,")), "Tab")
-    separators = _FILE_LINES["Separator"][1]
-    if first not in separators:
-        raise UnsupportedFeature(f"Separator={first!r}")
-    sep = separators[first].char
+    # Lines split on the character that follows the first "Separator" key
+    # (a tab if none does), and each Separator line must name that character.
+    sep = next((line[9] for line, _ in raw if line[:10] in ("Separator\t", "Separator,")), "\t")
 
     fields: dict[str, object] = {}
     extra: dict[str, str] = {}
@@ -451,12 +447,10 @@ def _parse_file_header(cursor: _Lines) -> LvmFileHeader:
     for line, line_no in raw:
         key, _, value = line.partition(sep)
         name, read, _ = _FILE_LINES.get(key, (None, None, None))
-        if key == "Separator":
-            value = first  # every line splits on the first declaration
         if read is None:
             extra[key] = value
         elif isinstance(read, dict):
-            if value not in read:
+            if value not in read or key == "Separator" and read[value].char != sep:
                 raise UnsupportedFeature(f"{key}={value!r}")
             if name:
                 fields[name] = read[value]
@@ -532,7 +526,7 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
     # per row applies read_real's rule that overflow is malformed.
     shortcut = sep != ds
     alphabet = _FAST_ALPHABET + (sep + ds).encode()
-    match_real = _REAL_PATTERNS[ds].match
+    match_real = _REAL_PATTERNS[ds].fullmatch
     while True:
         item = cursor.next_nonblank()
         if item is None:

@@ -20,7 +20,9 @@ Values are stored in their canonical text form (see
 :func:`lvmforge.model.render_canonical`); put_measurement refuses a value
 that validate_value does not read back from that text as the same value,
 so put followed by get reconstructs an equal record.  update_value sets a
-value in one UPSERT, whether the record has it or not.  put_procedure,
+value in one UPSERT, whether the record has it or not.  query sends one
+statement whatever its filters, and every query or DML text here is a
+constant, so no statement is built at run time.  put_procedure,
 put_binding and resolve apply every dispatch rule over procedures and
 bindings.  All writes are transactional; the engine is SQLite (single
 writer, many readers).  This is schema version 2; init_schema migrates a
@@ -58,8 +60,7 @@ from .errors import (
     UnknownParameter,
     UnknownProcedure,
 )
-from .ingest import (LVM_HANDLER_ID, ChannelSeries, MeasurementRecord, ParsingBinding,
-                     ParsingProcedure)
+from .ingest import ChannelSeries, MeasurementRecord, ParsingBinding, ParsingProcedure
 from .lvm import format_date
 from .model import (
     ConceptCategory,
@@ -150,6 +151,26 @@ _SERIES_COLUMNS = "INSERT INTO t_ser_series (msr_number, prm_number, ser_index, 
 _INSERT_POINT = _SERIES_COLUMNS + " VALUES (?,?,?,?,?)"
 _INSERT_BATCH = _SERIES_COLUMNS + " VALUES " + ",".join(
     f"(?1,?2,?3+{j},?{4 + 2 * j},?{5 + 2 * j})" for j in range(_BATCH))
+
+# Store.query's one statement: a filter whose argument is NULL passes.
+# Operator and Date come through the (eqp_number, prm_name) and
+# (msr_number, prm_number) unique indexes.
+_QUERY = """
+SELECT m.msr_number, q.eqp_name, m.msr_imported_at, m.msr_sourcefile, o.val_text
+FROM t_msr_measurements m JOIN t_eqp_equipments q ON q.eqp_number = m.eqp_number
+LEFT JOIN t_prm_parameters po ON po.eqp_number = m.eqp_number AND po.prm_name = 'Operator'
+LEFT JOIN t_val_values o ON o.msr_number = m.msr_number AND o.prm_number = po.prm_number
+LEFT JOIN t_prm_parameters pd ON pd.eqp_number = m.eqp_number AND pd.prm_name = 'Date'
+LEFT JOIN t_val_values d ON d.msr_number = m.msr_number AND d.prm_number = pd.prm_number
+WHERE (:equipment IS NULL OR q.eqp_name = :equipment)
+  AND (:operator IS NULL OR o.val_text = :operator)
+  AND (:date_from IS NULL OR d.val_text >= :date_from)
+  AND (:date_to IS NULL OR d.val_text <= :date_to)
+  AND (:category IS NULL OR EXISTS (SELECT 1 FROM t_prm_parameters p JOIN t_val_values v
+    ON v.msr_number = m.msr_number AND v.prm_number = p.prm_number
+    WHERE p.eqp_number = m.eqp_number AND p.prm_name = :name
+    AND p.prm_category = :category AND v.val_text = :text))
+ORDER BY m.msr_imported_at, m.msr_number"""
 
 _ENUM_PREFIX = "Enumeration("
 
@@ -275,12 +296,6 @@ class Store:
         with _sqlite_errors(self._path), self._conn as conn:
             yield conn
 
-    def _number(self, table: str, code: str, name: str) -> Optional[int]:
-        """The <code>_number of the row named name in table, or None."""
-        row = self._conn.execute(
-            f"SELECT {code}_number FROM {table} WHERE {code}_name = ?", (name,)).fetchone()
-        return None if row is None else row[0]
-
     # -- equipments ---------------------------------------------------------
 
     def put_equipment(self, model: EquipmentModel) -> int:
@@ -366,7 +381,8 @@ class Store:
                 (binding.equipment_name,)).fetchone()
             if row is None:
                 raise UnknownEquipment(binding.equipment_name)
-            psf = self._number("t_psf_parsingfunction", "psf", binding.procedure_name)
+            psf = conn.execute("SELECT psf_number FROM t_psf_parsingfunction WHERE psf_name = ?",
+                               (binding.procedure_name,)).fetchone()
             if psf is None:
                 raise UnknownProcedure(binding.procedure_name)
             if binding.extension not in row[1].split():
@@ -377,7 +393,7 @@ class Store:
                     "INSERT INTO t_efe_equipmentfileextension"
                     " (efe_number, eqp_number, psf_number, efe_extension)"
                     " VALUES (?,?,?,?)",
-                    (binding.binding_name, row[0], psf, binding.extension))
+                    (binding.binding_name, row[0], psf[0], binding.extension))
             except sqlite3.IntegrityError:  # UNIQUE (eqp_number, efe_extension)
                 raise DuplicateBinding(
                     f"({binding.equipment_name}, {binding.extension})") from None
@@ -396,7 +412,7 @@ class Store:
                 (equipment, extension)).fetchone()
         if row is None:
             raise NoBinding(equipment, extension)
-        return ParsingProcedure(row[0], LVM_HANDLER_ID)
+        return ParsingProcedure(row[0])
 
     def list_bindings(self) -> list[ParsingBinding]:
         with _sqlite_errors(self._path):
@@ -413,10 +429,11 @@ class Store:
 
     def put_measurement(self, record: MeasurementRecord) -> int:
         with self._transaction() as conn:
-            eqp = self._number("t_eqp_equipments", "eqp", record.equipment_name)
+            eqp = conn.execute("SELECT eqp_number FROM t_eqp_equipments WHERE eqp_name = ?",
+                               (record.equipment_name,)).fetchone()
             if eqp is None:
                 raise UnknownEquipment(record.equipment_name)
-            params = self._parameter_ids(eqp)
+            params = self._parameter_ids(eqp[0])
 
             def describe(sides: dict) -> str:
                 return ", ".join(f"{key} {getattr(value, 'value', value)}"
@@ -450,7 +467,7 @@ class Store:
             msr = conn.execute(
                 "INSERT INTO t_msr_measurements (eqp_number, msr_imported_at,"
                 " msr_sourcefile, msr_warnings, msr_aux, msr_series) VALUES (?,?,?,?,?,?)",
-                (eqp, record.imported_at.isoformat(), record.source_file,
+                (eqp[0], record.imported_at.isoformat(), record.source_file,
                  json.dumps(record.warnings), json.dumps(record.aux),
                  json.dumps(series))).lastrowid
             conn.executemany(
@@ -509,36 +526,20 @@ class Store:
         """Record summaries matching all given filters, ordered by import time.
 
         ``parameter`` is (category, name, canonical value text); the date
-        range applies to the measurement's Date parameter value.
+        range applies to the measurement's Date parameter value.  Every call
+        sends the one statement _QUERY, with NULL for each filter not given.
         """
-        sql = ["SELECT m.msr_number, q.eqp_name, m.msr_imported_at, m.msr_sourcefile,"
-               " (SELECT v.val_text FROM t_val_values v"
-               "   JOIN t_prm_parameters p ON p.prm_number = v.prm_number"
-               "   WHERE v.msr_number = m.msr_number AND p.prm_name = 'Operator')"
-               " FROM t_msr_measurements m"
-               " JOIN t_eqp_equipments q ON q.eqp_number = m.eqp_number WHERE 1=1"]
-        args: list = []
-        if equipment is not None:
-            sql.append("AND q.eqp_name = ?")
-            args.append(equipment)
-        if operator is not None:
-            sql.append(_has_value("p.prm_name = 'Operator' AND v.val_text = ?"))
-            args.append(operator)
-        if parameter is not None:
-            category, name, text = parameter
-            sql.append(_has_value("p.prm_name = ? AND p.prm_category = ? AND v.val_text = ?"))
-            args.extend([name, category.value, text])
-        for bound, op in ((date_from, ">="), (date_to, "<=")):
-            if bound is not None:
-                sql.append(_has_value(f"p.prm_name = 'Date' AND v.val_text {op} ?"))
-                args.append(format_date(bound))
-        sql.append("ORDER BY m.msr_imported_at, m.msr_number")
+        category, name, text = (None, None, None) if parameter is None else parameter
+        args = {"equipment": equipment, "operator": operator, "name": name, "text": text,
+                "category": None if parameter is None else category.value,
+                "date_from": date_from and format_date(date_from),
+                "date_to": date_to and format_date(date_to)}
         with _sqlite_errors(self._path):
             return [
                 RecordSummary(record_id=r[0], equipment_name=r[1],
                               imported_at=datetime.fromisoformat(r[2]),
                               source_file=r[3], operator=r[4])
-                for r in self._conn.execute(" ".join(sql), args)
+                for r in self._conn.execute(_QUERY, args)
             ]
 
     def delete_measurement(self, msr_number: int) -> None:
@@ -618,11 +619,4 @@ def _require_finite(series: ChannelSeries) -> None:
             if not (math.isfinite(v) if isinstance(v, float) else
                     isinstance(v, int) and -2**63 <= v < 2**63 and float(v) == v):
                 raise TypeMismatch(series.name, v, "a sample must be a finite real")
-
-
-def _has_value(condition: str) -> str:
-    """Query filter: the measurement has a parameter value meeting condition."""
-    return ("AND EXISTS (SELECT 1 FROM t_val_values v"
-            " JOIN t_prm_parameters p ON p.prm_number = v.prm_number"
-            f" WHERE v.msr_number = m.msr_number AND {condition})")
 

@@ -128,8 +128,10 @@ def test_edit_and_remove(cli_with_sytherm):
     record_id = import_annex(cli_with_sytherm)
     cli_with_sytherm("edit", record_id, "Operator", "Student1")
     assert "Operator = Student1" in cli_with_sytherm("show", record_id).out
-    err = cli_with_sytherm("edit", record_id, "Channels", "abc", expect=1).err
-    assert err.startswith("ERROR TypeMismatch")
+    for value in ("abc", "2\n"):  # a value is the whole text: no trailing line break
+        err = cli_with_sytherm("edit", record_id, "Channels", value, expect=1).err
+        assert err.startswith("ERROR TypeMismatch")
+    assert "Channels = 3" in cli_with_sytherm("show", record_id).out
     cli_with_sytherm("remove", record_id)
     err = cli_with_sytherm("show", record_id, expect=1).err
     assert err.startswith("ERROR NotFound")
@@ -233,7 +235,12 @@ def test_parser_is_built_once_and_a_usage_error_leaves_no_trace(cli_with_sytherm
                  ("analyze", "nonlin", record_id, "--refs", "1_0", "--tref30", "300"),
                  ("analyze", "nonlin", record_id, "--refs", "50", "--tref30", "1e999"),
                  (*gen, "--noise", "nan"), (*gen[:2], "inf", *gen[3:]),
-                 (*gen[:4], "1_0", *gen[5:]),
+                 (*gen[:4], "1_0", *gen[5:]), (*gen[:2], "1\n", *gen[3:]),
+                 # integers follow the one integer grammar: no '_', space or non-ASCII digit
+                 ("show", "1_0"), ("show", " 1"), ("show", "١"),
+                 (*gen[:10], "3\n", *gen[11:]), (*gen, "--seed", "٠"),
+                 ("analyze", "tau", record_id, "--channel", "0_0"),
+                 ("model", "sytherm", "--channels", "+3 "),
                  ("no-such-command",)):
         assert cli(*argv, expect=2).err.startswith("usage: lvmforge"), argv
     for _ in range(2):

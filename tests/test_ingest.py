@@ -65,6 +65,8 @@ def test_procedure_checks_itself():
         ParsingProcedure("", LVM_HANDLER_ID)
     with pytest.raises(UnknownHandler, match="^nonsense.handler$"):
         ParsingProcedure("P", "nonsense.handler")
+    # the .lvm parser is the default, so callers pass the name alone
+    assert ParsingProcedure("P") == ParsingProcedure("P", LVM_HANDLER_ID)
 
 
 def test_a_binding_put_with_an_upper_case_extension_resolves(seeded):

@@ -166,6 +166,15 @@ def test_grammars_take_only_ascii_digits():
         assert (info.value.line, info.value.column) == (line, column)
 
 
+@pytest.mark.parametrize("read, text", [(lvm.read_real, "1.5"), (lvm.read_int, "5"),
+                                        (lvm.read_time, "12:00:00")])
+def test_a_value_is_the_whole_text(read, text):
+    # a value is the whole text: no trailing line break or space
+    assert read(text) is not None
+    for tail in ("\n", "\r", " "):
+        assert read(text + tail) is None, tail
+
+
 def test_overflowing_header_real_is_malformed(annex1_bytes):
     # 1e999 overflows to inf, which no renderer writes back (format_sci16 fails)
     text = annex1_bytes.decode().replace("X0\t0,0000000000000000E+0", "X0\t1e999", 1)
@@ -200,6 +209,10 @@ def test_header_list_length_mismatch():
     ("X_Columns\tOne", "X_Columns\tNo"),
     ("Multi_Headings\tNo", "Multi_Headings\tYes"),
     ("Separator\tTab", "Separator\tSpace"),
+    # a Separator line must name the character after its key, the split character
+    ("Separator\tTab", "Separator\tComma"),
+    ("Separator\tTab", "Separator,Tab"),
+    ("Separator\tTab", "Separator\tTab\nSeparator\tComma"),
     ("Decimal_Separator\t,", "Decimal_Separator\t;"),
     ("Time_Pref\tAbsolute", "Time_Pref\tSometimes"),
 ])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -46,7 +47,7 @@ from lvmforge.errors import (
 )
 from lvmforge.ingest import LVM_HANDLER_ID
 from lvmforge.lvm import read_text
-from lvmforge.store import _BATCH, Store
+from lvmforge.store import _BATCH, _QUERY, Store
 
 from conftest import equipment_models
 
@@ -487,8 +488,9 @@ def test_an_edit_adds_a_missing_value_in_declaration_order(store, sytherm3, anne
 def test_update_value_type_mismatch(store, sytherm3, annex_record):
     store.put_equipment(sytherm3)
     msr = store.put_measurement(annex_record)
-    with pytest.raises(TypeMismatch):
-        store.update_value(msr, "Channels", "abc")
+    for raw in ("abc", "3\n"):  # a value is the whole text: no trailing line break
+        with pytest.raises(TypeMismatch):
+            store.update_value(msr, "Channels", raw)
     loaded = store.get_measurement(msr)
     assert loaded.get_value(ConceptCategory.EXPERIMENT_CHARACTERIZATION, "Channels") == 3
 
@@ -515,43 +517,102 @@ def test_update_value_undeclared_parameter(store, sytherm3, annex_record):
         store.update_value(msr, "Ghost", "X")
 
 
-def test_query_matches_brute_force(store, sytherm3, annex1_doc):
-    store.put_equipment(sytherm3)
+def test_query_matches_brute_force(store, sytherm3, annex1_bytes):
+    """Every combination of equipment, operator, parameter and date filters
+    drawn from small pools gives the records, operators and order a scan of
+    the records themselves gives, on two equipments, with some records
+    lacking an Operator value and some sharing an import time."""
+    models = (sytherm3, dataclasses.replace(sytherm3, name="OTHER"))
+    for model in models:
+        store.put_equipment(model)
+    docs = (parse_lvm(annex1_bytes), parse_lvm(annex1_bytes.replace(b"Operator\tProfesor\n", b"")))
     rng = random.Random(11)
     ids = []
-    for i in range(8):
+    for i in range(12):
         record = map_lvm_to_record(
-            annex1_doc, sytherm3, source_file=f"run{i}.lvm",
-            imported_at=datetime(2024, 3, 1 + i, 9, 0, 0))
-        store.put_measurement(record)
-        msr = store.query()[-1].record_id
-        store.update_value(msr, "Operator", rng.choice(["Profesor", "Student1"]))
+            rng.choice(docs), rng.choice(models), source_file=f"run{i}.lvm",
+            imported_at=datetime(2024, 3, rng.randint(1, 4), 9, 0, 0))
+        msr = store.put_measurement(record)
+        operator = rng.choice(["Profesor", "Student1", None])
+        if operator is not None:
+            store.update_value(msr, "Operator", operator)
         store.update_value(msr, "Date", f"2013/02/{rng.randint(1, 9):02d}")
+        store.update_value(msr, "X_Dimension", rng.choice(["Time", "Depth"]))
         ids.append(msr)
 
     records = {i: store.get_measurement(i) for i in ids}
     mi = ConceptCategory.MEASUREMENT_INFORMATION
+    ec = ConceptCategory.EXPERIMENT_CHARACTERIZATION
 
-    def brute(operator=None, date_from=None, date_to=None):
+    def brute(equipment, operator, parameter, date_from, date_to):
         keep = []
-        for i, r in sorted(records.items()):
+        for i, r in records.items():
             op = r.get_value(mi, "Operator")
             dt = r.get_value(mi, "Date")
+            if equipment is not None and r.equipment_name != equipment:
+                continue
             if operator is not None and op != operator:
                 continue
+            if parameter is not None:
+                category, name, text = parameter
+                typed = r.values.get(category, {}).get(name)
+                if typed is None or render_canonical(typed) != text:
+                    continue
             if date_from is not None and dt < date_from:
                 continue
             if date_to is not None and dt > date_to:
                 continue
-            keep.append((r.imported_at, i))
-        return [i for _, i in sorted(keep)]
+            keep.append((r.imported_at, i, r.equipment_name, op))
+        return [(i, name, op) for _, i, name, op in sorted(keep)]
 
-    for kwargs in ({"operator": "Profesor"},
-                   {"date_from": date(2013, 2, 3)},
-                   {"date_to": date(2013, 2, 5)},
-                   {"operator": "Student1", "date_from": date(2013, 2, 2),
-                    "date_to": date(2013, 2, 8)}):
-        assert [s.record_id for s in store.query(**kwargs)] == brute(**kwargs), kwargs
+    pools = {
+        "equipment": (None, "SYTHERM", "OTHER", "NONE"),
+        "operator": (None, "Profesor", "Student1", "Nobody"),
+        "parameter": (None, (ec, "X_Dimension", "Time"), (ec, "X_Dimension", "Depth"),
+                      (mi, "X_Dimension", "Time"), (mi, "Operator", "Student1"),
+                      (ec, "Ghost", "Time")),
+        "date_from": (None, date(2013, 2, 3), date(2013, 2, 6)),
+        "date_to": (None, date(2013, 2, 5), date(2013, 2, 8)),
+    }
+    for drawn in itertools.product(*pools.values()):
+        kwargs = dict(zip(pools, drawn))
+        got = [(s.record_id, s.equipment_name, s.operator) for s in store.query(**kwargs)]
+        assert got == brute(**kwargs), kwargs
+
+
+def _mask_arguments(sql: str) -> str:
+    """The statement text with each bound argument, literal or parameter, as ?."""
+    return re.sub(r"NULL|'[^']*'|:\w+", "?", sql)
+
+
+def test_query_sends_one_statement_that_searches_the_value_indexes(store, sytherm3,
+                                                                   annex_record):
+    """Every combination of query's five filters sends the one statement
+    _QUERY, whose plan reads parameter and value rows only by SEARCH on
+    their unique indexes: Operator, Date and the parameter filter each take
+    one (eqp_number, prm_name) and one (msr_number, prm_number) lookup."""
+    store.put_equipment(sytherm3)
+    msr = store.put_measurement(annex_record)
+    filters = {"equipment": "SYTHERM", "operator": "Profesor",
+               "parameter": (ConceptCategory.EXPERIMENT_CHARACTERIZATION, "Channels", "3"),
+               "date_from": date(2013, 2, 6), "date_to": date(2013, 2, 6)}
+    texts = set()
+    for given_ in itertools.product((False, True), repeat=len(filters)):
+        kwargs = {name: value for (name, value), on in zip(filters.items(), given_) if on}
+        sent = []
+        store._conn.set_trace_callback(sent.append)
+        assert [s.record_id for s in store.query(**kwargs)] == [msr], kwargs
+        store._conn.set_trace_callback(None)
+        assert len(sent) == 1, kwargs
+        # the trace shows each argument bound in place
+        texts.add(_mask_arguments(sent[0]))
+        plan = [r[3] for r in store._conn.execute("EXPLAIN QUERY PLAN " + sent[0])]
+        assert {line.split()[1] for line in plan if line.startswith("SCAN")} <= {"m", "q"}, plan
+        searches = [line for line in plan if line.startswith("SEARCH")]
+        for index in ("sqlite_autoindex_t_prm_parameters_1 (eqp_number=? AND prm_name=?)",
+                      "sqlite_autoindex_t_val_values_1 (msr_number=? AND prm_number=?)"):
+            assert sum(index in line for line in searches) == 3, plan
+    assert texts == {_mask_arguments(_QUERY)}
 
 
 # every public Store method, called on a store that holds equipment SYTHERM,
