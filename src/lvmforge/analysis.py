@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 from dataclasses import dataclass
 from datetime import date as Date
 from typing import Optional, Sequence
@@ -180,7 +179,8 @@ def step_response_from_series(points: Sequence[tuple[float, float]]) -> StepResp
         start = detect_steady_state(ys)
     except InsufficientData:
         start = None
-    y_inf = statistics.fmean(ys[start:]) if start is not None else ys[-1]
+    # math.fsum(x) / len(x) is statistics.fmean(x), without importing statistics
+    y_inf = math.fsum(ys[start:]) / (len(ys) - start) if start is not None else ys[-1]
     return StepResponse(samples=points, y0=ys[0], y_inf=y_inf)
 
 

@@ -14,8 +14,9 @@ document level.
 
 Data rows are read by one loop, a row at a time, so parsing is linear in
 the input whatever the number of segments.  A row of plain numbers takes
-one ``float()`` per field; any other row takes the field-by-field grammar
-checks, which name the line and field of the first bad value.
+one ``float()`` per field; any other row reads each field through
+``read_real``.  Every field the parser rejects, in a header or a data row,
+is rejected by ``_field``, which names its line and field.
 
 This module is the one owner of how a value is written as text and read
 back: the real, integer, boolean, date and time grammars (``read_*``, ASCII
@@ -38,7 +39,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from datetime import date as Date
-from datetime import datetime
 from enum import Enum
 from typing import Optional, Union
 
@@ -169,6 +169,9 @@ def _time_pattern(ds: str) -> re.Pattern:
 _REAL_PATTERNS = {ds: _real_pattern(ds) for ds in (".", ",", ANY_DECIMAL)}
 _TIME_PATTERNS = {ds: _time_pattern(ds) for ds in (".", ",", ANY_DECIMAL)}
 _INT_PATTERN = re.compile(r"[+-]?\d+", re.ASCII)
+# the alternatives of strptime's %Y/%m/%d, ASCII digits only
+_DATE_PATTERN = re.compile(r"(\d{4})/(1[0-2]|0[1-9]|[1-9])/(3[01]|[12]\d|0[1-9]|[1-9]| [1-9])",
+                           re.ASCII)
 
 
 def read_real(text: str, ds: str = ".") -> Optional[float]:
@@ -191,10 +194,12 @@ def read_bool(text: str) -> Optional[bool]:
 
 
 def read_date(text: str) -> Optional[Date]:
-    """YYYY/MM/DD; strptime alone would read a year in other scripts' digits."""
+    """YYYY/MM/DD as strptime's "%Y/%m/%d" reads it (month and day may be
+    unpadded, the day space-padded), in ASCII digits, naming a real day."""
+    m = _DATE_PATTERN.fullmatch(text)
     try:
-        return datetime.strptime(text, "%Y/%m/%d").date() if text.isascii() else None
-    except ValueError:
+        return Date(*map(int, m.groups())) if m else None
+    except ValueError:  # year 0 or a day past the month's end
         return None
 
 
@@ -345,14 +350,6 @@ def _field(read, text: str, line_no: int, col: int, *ds: str):
     return value
 
 
-def _reject_row(fields: list[str], ds: str, line_no: int) -> None:
-    """Raise MalformedNumber for the first non-empty field of a data row
-    that read_real rejects; the row must hold one."""
-    for col, text in enumerate(fields, 1):
-        if text:
-            _field(read_real, text, line_no, col, ds)
-
-
 def _mismatched_channel_list(segment: LvmSegment) -> Optional[str]:
     """The first per-channel list whose length is not the channel count, or
     None; lists with default entries first, and the others may be empty."""
@@ -500,8 +497,8 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
     has_comment = column_names[-1] == COMMENT_COLUMN
 
     if channels is None:
-        channels = fields["channels"] = len(column_names) - 1 - (1 if has_comment else 0)
-    expected_cols = 1 + channels + (1 if has_comment else 0)
+        channels = fields["channels"] = len(column_names) - 1 - has_comment
+    expected_cols = 1 + channels + has_comment
     if len(column_names) != expected_cols:
         raise ChannelCountMismatch(expected_cols, len(column_names), "column-name row")
 
@@ -521,9 +518,7 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
     # "inf"/"nan" or non-ASCII digit can occur.  isascii() comes first, as
     # encode() raises on a lone surrogate.  Every other row (a comment, an
     # empty sample, a header line, text float() rejects, a non-finite sum)
-    # takes the field-by-field checks, which raise the exact errors: each
-    # field is matched once against the shared real pattern, and one check
-    # per row applies read_real's rule that overflow is malformed.
+    # reads each field through read_real, which raises the exact error.
     shortcut = sep != ds
     alphabet = _FAST_ALPHABET + (sep + ds).encode()
     match_real = _REAL_PATTERNS[ds].fullmatch
@@ -547,28 +542,14 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
         if not match_real(fields[0]):
             cursor.push_back()
             break
-        if has_comment:
-            if len(fields) == 1 + channels:
-                comment = None
-            elif len(fields) == 2 + channels:
-                comment = fields.pop()
-            else:
-                raise ChannelCountMismatch(2 + channels, len(fields), f"data row {line_no}")
-        else:
-            if len(fields) != 1 + channels:
-                raise ChannelCountMismatch(1 + channels, len(fields), f"data row {line_no}")
-            comment = None
-        values = []
-        for f in fields[1:]:
-            if f == "":
-                values.append(None)
-            elif match_real(f):
-                values.append(float(f.replace(ds, ".")))
-            else:
-                _reject_row(fields, ds, line_no)
-        x = float(fields[0].replace(ds, "."))
-        if math.inf in values or -math.inf in values or not math.isfinite(x):
-            _reject_row(fields, ds, line_no)
+        # a row may leave out the comment a Comment column declares
+        comments = len(fields) - 1 - channels
+        if not 0 <= comments <= has_comment:
+            raise ChannelCountMismatch(1 + channels + has_comment, len(fields),
+                                       f"data row {line_no}")
+        comment = fields.pop() if comments else None
+        x, *values = (_field(read_real, f, line_no, col, ds) if f else None
+                      for col, f in enumerate(fields, 1))
         segment.rows.append(DataRow(x=x, values=tuple(values), comment=comment))
     return segment
 

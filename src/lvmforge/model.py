@@ -282,11 +282,28 @@ def render_canonical(typed: TypedValue) -> str:
 #
 # One "param:" line per parameter (name|category|type|unit|source, with a
 # sixth comma-separated field for enumeration domains).  Unit empty means
-# dimensionless.
+# dimensionless.  A single-valued field is given at most once; extensions
+# and ignored_keys lines add up.
 
-_CATEGORY_BY_NAME = {c.value: c for c in ConceptCategory}
-_TYPE_BY_NAME = {t.value: t for t in ValueType}
-_SOURCE_BY_NAME = {s.value: s for s in ParameterSource}
+# what -> (name -> member): the parameter vocabulary, read by read_parameter
+_VOCABULARY = {what: {member.value: member for member in enum} for what, enum in
+               (("category", ConceptCategory), ("type", ValueType), ("source", ParameterSource))}
+
+
+def read_parameter(name: str, category: str, value_type: str, unit: Optional[str],
+                   source: str, domain: Optional[str] = None) -> ParameterDefinition:
+    """A parameter from the texts of a definition-file "param:" line or a
+    stored parameter row: unit empty or None for none, domain the
+    comma-separated enumeration values or None.  Raises MalformedDefinition
+    for a category, type or source outside the vocabulary."""
+    texts = (("category", category), ("type", value_type), ("source", source))
+    unknown = [f"unknown {what} {text!r}" for what, text in texts if text not in _VOCABULARY[what]]
+    if unknown:
+        raise MalformedDefinition(unknown[0])
+    category, value_type, source = (_VOCABULARY[what][text] for what, text in texts)
+    return ParameterDefinition(
+        name, category, value_type, unit or None, source,
+        tuple(d.strip() for d in domain.split(",")) if domain is not None else ())
 
 
 def render_model_definition(model: EquipmentModel) -> str:
@@ -332,25 +349,15 @@ def parse_model_definition(text: str) -> EquipmentModel:
             if len(parts) not in (5, 6):
                 raise MalformedDefinition(
                     f"line {line_no}: expected name|category|type|unit|source[|domain]")
-            name, category, vtype, unit, source = (p.strip() for p in parts[:5])
-            if category not in _CATEGORY_BY_NAME:
-                raise MalformedDefinition(f"line {line_no}: unknown category {category!r}")
-            if vtype not in _TYPE_BY_NAME:
-                raise MalformedDefinition(f"line {line_no}: unknown type {vtype!r}")
-            if source not in _SOURCE_BY_NAME:
-                raise MalformedDefinition(f"line {line_no}: unknown source {source!r}")
-            domain = tuple(d.strip() for d in parts[5].split(",")) if len(parts) == 6 else ()
-            params.append(ParameterDefinition(
-                name=name,
-                category=_CATEGORY_BY_NAME[category],
-                value_type=_TYPE_BY_NAME[vtype],
-                unit=unit or None,
-                source=_SOURCE_BY_NAME[source],
-                enum_domain=domain,
-            ))
+            try:
+                params.append(read_parameter(*(p.strip() for p in parts)))
+            except MalformedDefinition as exc:
+                raise MalformedDefinition(f"line {line_no}: {exc}") from None
         elif key in words:
             words[key].update(value.split())
         elif key in ("name", "producer", "description", "webpage", "picture", "visual_model"):
+            if key in fields:
+                raise MalformedDefinition(f"line {line_no}: field {key!r} given twice")
             fields[key] = value
         else:
             raise MalformedDefinition(f"line {line_no}: unknown field {key!r}")

@@ -51,6 +51,7 @@ from .errors import (
     DuplicateProcedure,
     ExtensionNotDeclared,
     ForeignKeyViolation,
+    MalformedDefinition,
     NoBinding,
     NotFound,
     SchemaVersionMismatch,
@@ -66,10 +67,9 @@ from .model import (
     ConceptCategory,
     EquipmentModel,
     ParameterDefinition,
-    ParameterSource,
     TypedValue,
-    ValueType,
     make_typed,
+    read_parameter,
     render_canonical,
 )
 
@@ -172,19 +172,21 @@ WHERE (:equipment IS NULL OR q.eqp_name = :equipment)
     AND p.prm_category = :category AND v.val_text = :text))
 ORDER BY m.msr_imported_at, m.msr_number"""
 
-_ENUM_PREFIX = "Enumeration("
-
 
 def _encode_type(definition: ParameterDefinition) -> str:
-    if definition.value_type is ValueType.ENUMERATION:
-        return _ENUM_PREFIX + ",".join(definition.enum_domain) + ")"
-    return definition.value_type.value
+    """prm_type: the type's name, then an enumeration's values in parentheses
+    (a value holds no ',' but any other text)."""
+    domain = definition.enum_domain
+    return definition.value_type.value + (f"({','.join(domain)})" if domain else "")
 
 
-def _decode_type(text: str) -> tuple[ValueType, tuple[str, ...]]:
-    if text.startswith(_ENUM_PREFIX):  # a value holds no ',' but any other text
-        return ValueType.ENUMERATION, tuple(text[len(_ENUM_PREFIX):-1].split(","))
-    return ValueType(text), ()
+def _json_strings(text: str, shape: type):
+    """JSON text holding a shape (list or dict) of strings, as put writes it."""
+    value = json.loads(text)
+    strings = [*value, *value.values()] if isinstance(value, dict) else value
+    if not isinstance(value, shape) or not all(isinstance(s, str) for s in strings):
+        raise ValueError(text)
+    return value
 
 
 @dataclass(frozen=True)
@@ -341,17 +343,31 @@ class Store:
                 "SELECT eqp_name FROM t_eqp_equipments ORDER BY eqp_name")]
 
     def _parameter_ids(self, eqp_number: int) -> dict[str, tuple[int, ParameterDefinition]]:
+        """name -> (prm_number, definition), read through the model's
+        vocabulary: MalformedDefinition names a row outside it."""
         out = {}
         # sorted here, not in a temp B-tree: the (eqp_number, prm_name) index
         # gives name order, and declaration order is prm_number order
-        for row in sorted(self._conn.execute(
+        for number, name, category, type_text, unit, source in sorted(self._conn.execute(
                 "SELECT prm_number, prm_name, prm_category, prm_type, prm_unit,"
                 " prm_source FROM t_prm_parameters WHERE eqp_number = ?", (eqp_number,))):
-            value_type, domain = _decode_type(row[3])
-            out[row[1]] = (row[0], ParameterDefinition(
-                name=row[1], category=ConceptCategory(row[2]), value_type=value_type,
-                unit=row[4], source=ParameterSource(row[5]), enum_domain=domain))
+            value_type, enum, domain = type_text.partition("(")
+            try:
+                out[name] = (number, read_parameter(name, category, value_type, unit, source,
+                                                    domain[:-1] if enum else None))
+            except MalformedDefinition as exc:
+                raise MalformedDefinition(f"{self._path}: parameter {name!r}: {exc}") from None
         return out
+
+    def _decoded(self, msr_number: int, column: str, decode, stored, *args):
+        """decode(stored, *args) for a column of measurement msr_number;
+        damaged text raises StorageUnavailable naming the store, the
+        measurement and the column.  Every encoded column is read here."""
+        try:
+            return decode(stored, *args)
+        except (ValueError, TypeError, KeyError):
+            raise StorageUnavailable(f"{self._path}: measurement {msr_number}:"
+                                     f" {column} {stored!r} does not read back") from None
 
     # -- procedures and bindings ---------------------------------------------
 
@@ -497,22 +513,25 @@ class Store:
             by_id = dict(self._parameter_ids(row[0]).values())
             record = MeasurementRecord(
                 equipment_name=row[1],
-                imported_at=datetime.fromisoformat(row[2]),
+                imported_at=self._decoded(msr_number, "msr_imported_at",
+                                          datetime.fromisoformat, row[2]),
                 source_file=row[3],
-                warnings=json.loads(row[4]),
-                aux=json.loads(row[5]),
+                warnings=self._decoded(msr_number, "msr_warnings", _json_strings, row[4], list),
+                aux=self._decoded(msr_number, "msr_aux", _json_strings, row[5], dict),
                 record_id=msr_number,
             )
             for prm_number, text in self._conn.execute(
                     "SELECT prm_number, val_text FROM t_val_values"
                     " WHERE msr_number = ? ORDER BY prm_number", (msr_number,)):
-                definition = by_id[prm_number]
+                definition = self._decoded(msr_number, "prm_number", by_id.__getitem__,
+                                           prm_number)
                 record.set_value(definition.category, definition.name,
                                  make_typed(definition, text))
+            series = self._decoded(msr_number, "msr_series",
+                                   lambda text: [(n, by_id[n]) for n in json.loads(text)], row[6])
             # one primary-key range read per series (no sort); the rows
             # sqlite3 builds in C are the (x, y) points themselves
-            for prm_number in json.loads(row[6]):
-                d = by_id[prm_number]
+            for prm_number, d in series:
                 points = tuple(self._conn.execute(
                     "SELECT ser_x, ser_y FROM t_ser_series WHERE msr_number = ?"
                     " AND prm_number = ? ORDER BY ser_index", (msr_number, prm_number)).fetchall())
@@ -537,7 +556,8 @@ class Store:
         with _sqlite_errors(self._path):
             return [
                 RecordSummary(record_id=r[0], equipment_name=r[1],
-                              imported_at=datetime.fromisoformat(r[2]),
+                              imported_at=self._decoded(r[0], "msr_imported_at",
+                                                        datetime.fromisoformat, r[2]),
                               source_file=r[3], operator=r[4])
                 for r in self._conn.execute(_QUERY, args)
             ]

@@ -275,6 +275,40 @@ def test_storage_failure_is_one_error_line(cli_with_sytherm, tmp_path):
         assert str(store_path) in lines[0], argv
 
 
+_ANNEX = ("import", str(ANNEX1_PATH), "--equipment", "SYTHERM")
+
+
+@pytest.mark.parametrize("damage, commands, error, named", [
+    ("UPDATE t_msr_measurements SET msr_aux = 'not json'", [("show", "1")],
+     "StorageUnavailable", "measurement 1: msr_aux"),
+    ("UPDATE t_msr_measurements SET msr_imported_at = 'yesterday'", [("show", "1"), ("list",)],
+     "StorageUnavailable", "measurement 1: msr_imported_at"),
+    ("UPDATE t_msr_measurements SET msr_series = '[99]'", [("show", "1")],
+     "StorageUnavailable", "measurement 1: msr_series"),
+    ("UPDATE t_msr_measurements SET msr_warnings = '[1]'", [("show", "1")],
+     "StorageUnavailable", "measurement 1: msr_warnings"),
+    ("UPDATE t_val_values SET prm_number = 99 WHERE val_number = 1", [("show", "1")],
+     "StorageUnavailable", "measurement 1: prm_number 99"),
+    ("UPDATE t_prm_parameters SET prm_category = 'Bogus' WHERE prm_name = 'Operator'",
+     [("show", "1"), ("model", "show", "SYTHERM"), _ANNEX],
+     "MalformedDefinition", "parameter 'Operator': unknown category 'Bogus'"),
+])
+def test_damaged_store_row_is_one_error_line(cli_with_sytherm, tmp_path, damage, commands,
+                                             error, named):
+    assert import_annex(cli_with_sytherm) == "1"
+    store_path = tmp_path / "store.db"
+    conn = sqlite3.connect(store_path)
+    with conn:
+        conn.execute(damage)
+    conn.close()
+    for argv in commands:
+        captured = cli_with_sytherm(*argv, expect=1)
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in captured.out, argv
+        assert lines[0].startswith(f"ERROR {error}: {store_path}: "), argv
+        assert named in lines[0], argv
+
+
 def test_non_utf8_argument_is_one_error_line(cli_with_sytherm, tmp_path):
     # a byte that is not UTF-8 (cp1252 "é") arrives in argv as a lone surrogate
     import_annex(cli_with_sytherm)

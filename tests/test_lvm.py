@@ -2,7 +2,7 @@ import dataclasses
 import random
 import re
 import time
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +164,29 @@ def test_grammars_take_only_ascii_digits():
         with pytest.raises(MalformedNumber) as info:
             parse_lvm(text)
         assert (info.value.line, info.value.column) == (line, column)
+
+
+def _strptime_date(text):
+    """read_date's reference: strptime's reading of "%Y/%m/%d", ASCII only."""
+    try:
+        return datetime.strptime(text, "%Y/%m/%d").date() if text.isascii() else None
+    except ValueError:
+        return None
+
+
+_DATE_PIECES = st.sampled_from(["0", "1", "2", "3", "9", "02", "12", "13", "29", "30",
+                                "31", "32", " ", " 6", "/", "١", "+", "-", "2013", "0000"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(_DATE_PIECES, max_size=7).map("".join),
+                 st.tuples(st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+                           st.sampled_from(["{:04d}/{:02d}/{:02d}", "{:04d}/{}/{}",
+                                            "{:04d}/{}/{:2d}", "{:d}/{:d}/{:d}"]))
+                 .map(lambda t: t[3].format(*t[:3])),
+                 st.text(max_size=12)))
+def test_read_date_reads_as_strptime_does(text):
+    assert lvm.read_date(text) == _strptime_date(text)
 
 
 @pytest.mark.parametrize("read, text", [(lvm.read_real, "1.5"), (lvm.read_int, "5"),

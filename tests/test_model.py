@@ -377,6 +377,7 @@ def test_definition_roundtrip_whenever_rendering_succeeds(model):
     "param: X|Data|Real||Telepathy",
     "param: X|Data|Real",
     "mystery: 5",
+    "name: F",  # a single-valued field given twice
 ])
 def test_definition_malformed(line):
     with pytest.raises(MalformedDefinition):
