@@ -32,6 +32,7 @@ from lvmforge.errors import (
     UnsupportedFeature,
 )
 
+import corpus
 from docgen import random_document
 
 MINIMAL = (
@@ -138,6 +139,19 @@ def test_file_ending_after_a_segment_header_has_no_column_row():
 def test_missing_segment_terminator():
     with pytest.raises(MissingHeaderTerminator):
         parse_lvm("LabVIEW Measurement\n***End_of_Header***\nChannels\t1\n")
+    # a segment header reads each field as it comes, so a bad field is
+    # reported before the missing terminator
+    with pytest.raises(MalformedNumber) as info:
+        parse_lvm("LabVIEW Measurement\n***End_of_Header***\nChannels\tx\n")
+    assert (info.value.line, info.value.column) == (3, 2)
+
+
+def test_parse_outcomes_match_the_committed_corpus():
+    # every edited document of tests/corpus.py parses (or fails) as recorded
+    expected = corpus.GOLDEN.read_text(encoding="ascii").splitlines()
+    changed = [(old, new) for old, new in zip(expected, corpus.outcomes()) if old != new]
+    assert len(expected) == corpus.SIZE
+    assert not changed, f"{len(changed)} outcomes changed, first: {changed[:3]}"
 
 
 def test_malformed_number_position():
