@@ -12,11 +12,13 @@ than silently misread.  Unrecognized header keys are preserved verbatim
 (in order) so that parse -> serialize -> parse is the identity on the
 document level.
 
-Data rows are read by one loop, a row at a time, so parsing is linear in
-the input whatever the number of segments.  A row of plain numbers takes
-one ``float()`` per field; any other row reads each field through
-``read_real``.  Every field the parser rejects, in a header or a data row,
-is rejected by ``_field``, which names its line and field.
+The reader walks one list of the input's nonblank lines, each with its
+1-based line number: ``_header_block`` reads the file header and each
+segment header, and one loop reads a segment's data rows, a row at a time,
+so parsing is linear in the input whatever the number of segments.  A row
+of plain numbers takes one ``float()`` per field; any other row reads each
+field through ``read_real``.  Every field the parser rejects, in a header
+or a data row, is rejected by ``_field``, which names its line and field.
 
 This module is the one owner of how a value is written as text and read
 back: the real, integer, boolean, date and time grammars (``read_*``, ASCII
@@ -375,23 +377,11 @@ def _is_terminator(line: str) -> bool:
     return line.rstrip("\t, ") == HEADER_TERMINATOR
 
 
-class _Lines:
-    """Cursor over the input lines with 1-based line numbers."""
-
-    def __init__(self, text: str):
-        self.lines = text.replace("\r\n", "\n").split("\n")
-        self.pos = 0
-
-    def next_nonblank(self) -> Optional[tuple[str, int]]:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            self.pos += 1
-            if line.strip():
-                return line, self.pos
-        return None
-
-    def push_back(self):
-        self.pos -= 1
+def _header_block(lines: list[tuple[str, int]], at: int):
+    """The lines from index at up to the next header terminator, and the
+    index after that terminator (len(lines) + 1 when there is none)."""
+    end = next((i for i in range(at, len(lines)) if _is_terminator(lines[i][0])), len(lines))
+    return lines[at:end], end + 1
 
 
 def parse_lvm(data) -> LvmDocument:
@@ -403,45 +393,34 @@ def parse_lvm(data) -> LvmDocument:
     ChannelCountMismatch or UnsupportedFeature on malformed or
     out-of-feature-set input.
     """
-    cursor = _Lines(_decode(data))
-    first = cursor.next_nonblank()
-    if first is None or first[0].rstrip("\t, ") != MAGIC_LINE:
+    text = _decode(data).replace("\r\n", "\n")
+    lines = [(line, n) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
+    if not lines or lines[0][0].rstrip("\t, ") != MAGIC_LINE:
         raise MissingMagicLine(f"first line is not {MAGIC_LINE!r}")
 
-    header = _parse_file_header(cursor)
-    sep = header.separator.char
-    ds = header.decimal_separator
-
+    block, at = _header_block(lines, 1)
+    if at > len(lines):
+        raise MissingHeaderTerminator("file header never terminated")
+    header = _parse_file_header(block)
+    sep, ds = header.separator.char, header.decimal_separator
     segments = []
-    while True:
-        segment = _parse_segment(cursor, sep, ds)
-        if segment is None:
-            break
+    while at < len(lines):
+        segment, at = _parse_segment(lines, at, sep, ds)
         segments.append(segment)
     if not segments:
         raise MissingHeaderTerminator("no segment found after file header")
     return LvmDocument(header=header, segments=segments)
 
 
-def _parse_file_header(cursor: _Lines) -> LvmFileHeader:
-    raw: list[tuple[str, int]] = []
-    while True:
-        item = cursor.next_nonblank()
-        if item is None:
-            raise MissingHeaderTerminator("file header never terminated")
-        line, line_no = item
-        if _is_terminator(line):
-            break
-        raw.append((line, line_no))
-
+def _parse_file_header(block: list[tuple[str, int]]) -> LvmFileHeader:
     # Lines split on the character that follows the first "Separator" key
     # (a tab if none does), and each Separator line must name that character.
-    sep = next((line[9] for line, _ in raw if line[:10] in ("Separator\t", "Separator,")), "\t")
+    sep = next((line[9] for line, _ in block if line[:10] in ("Separator\t", "Separator,")), "\t")
 
     fields: dict[str, object] = {}
     extra: dict[str, str] = {}
     localized: dict[str, tuple] = {}
-    for line, line_no in raw:
+    for line, line_no in block:
         key, _, value = line.partition(sep)
         name, read, _ = _FILE_LINES.get(key, (None, None, None))
         if read is None:
@@ -462,21 +441,13 @@ def _parse_file_header(cursor: _Lines) -> LvmFileHeader:
     return LvmFileHeader(extra_keys=extra, **fields)
 
 
-def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
-    item = cursor.next_nonblank()
-    if item is None:
-        return None
-    cursor.push_back()
-
+def _parse_segment(lines: list[tuple[str, int]], at: int, sep: str,
+                   ds: str) -> tuple[LvmSegment, int]:
+    """The segment whose header starts at lines[at], and the index after it."""
+    block, at = _header_block(lines, at)
     fields: dict[str, object] = {}
     extra: dict[str, str] = {}
-    while True:
-        item = cursor.next_nonblank()
-        if item is None:
-            raise MissingHeaderTerminator("segment header never terminated")
-        line, line_no = item
-        if _is_terminator(line):
-            break
+    for line, line_no in block:
         key, _, value = line.partition(sep)
         name, read, _, default = _SEGMENT_LINES.get(key, (None,) * 4)
         if read is None:
@@ -487,13 +458,14 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
             args = (ds,) if read in _LOCALIZED else ()
             fields[name] = [_field(read, v, line_no, i, *args)
                             for i, v in enumerate(line.split(sep)[1:], 2)]
+    # checked after the fields, so a bad field is reported first
+    if at > len(lines):
+        raise MissingHeaderTerminator("segment header never terminated")
 
     channels = fields.get("channels")
-    item = cursor.next_nonblank()
-    if item is None:
+    if at == len(lines):
         raise ChannelCountMismatch(1 + (channels or 0), 0, "column-name row missing")
-    column_line, _ = item
-    column_names = column_line.split(sep)
+    column_names = lines[at][0].split(sep)
     has_comment = column_names[-1] == COMMENT_COLUMN
 
     if channels is None:
@@ -522,11 +494,8 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
     shortcut = sep != ds
     alphabet = _FAST_ALPHABET + (sep + ds).encode()
     match_real = _REAL_PATTERNS[ds].fullmatch
-    while True:
-        item = cursor.next_nonblank()
-        if item is None:
-            break
-        line, line_no = item
+    for at in range(at + 1, len(lines)):
+        line, line_no = lines[at]
         if shortcut and line.isascii() and not line.encode().translate(None, alphabet):
             fields = line.replace(ds, ".").split(sep)
             if len(fields) == 1 + channels:
@@ -540,8 +509,7 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
                         continue
         fields = line.split(sep)
         if not match_real(fields[0]):
-            cursor.push_back()
-            break
+            return segment, at
         # a row may leave out the comment a Comment column declares
         comments = len(fields) - 1 - channels
         if not 0 <= comments <= has_comment:
@@ -551,7 +519,7 @@ def _parse_segment(cursor: _Lines, sep: str, ds: str) -> Optional[LvmSegment]:
         x, *values = (_field(read_real, f, line_no, col, ds) if f else None
                       for col, f in enumerate(fields, 1))
         segment.rows.append(DataRow(x=x, values=tuple(values), comment=comment))
-    return segment
+    return segment, len(lines)
 
 
 # --- serialization ----------------------------------------------------------
