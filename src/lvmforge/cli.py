@@ -16,7 +16,7 @@ import argparse
 import functools
 import os
 import sys
-from datetime import date, datetime
+from datetime import datetime
 
 from . import analysis, export as export_mod, store as store_mod
 from .errors import IndexOutOfRange, LvmforgeError
@@ -33,29 +33,24 @@ from .model import (
 STORE_ENV_VAR = "LVMFORGE_STORE"
 
 
-def _int(text: str) -> int:
-    value = read_int(text)
-    if value is None:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return value
+def _argument(read, what: str):
+    """An argparse type that reads through a lvm grammar reader, which
+    returns None for text outside its grammar."""
+    def convert(text: str):
+        value = read(text)
+        if value is None:
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        return value
+    return convert
 
 
-def _real(text: str) -> float:
-    value = read_real(text)
-    if value is None:
-        raise argparse.ArgumentTypeError(f"not a real: {text!r}")
-    return value
+_int = _argument(read_int, "an integer")
+_real = _argument(read_real, "a real")
+_date = _argument(read_date, "a YYYY/MM/DD date")
 
 
 def _reals(text: str) -> tuple[float, ...]:
     return tuple(map(_real, text.split(",")))
-
-
-def _date(text: str) -> date:
-    value = read_date(text)
-    if value is None:
-        raise argparse.ArgumentTypeError(f"not a YYYY/MM/DD date: {text!r}")
-    return value
 
 
 @functools.cache
@@ -80,6 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = model_sub.add_parser("show", help="print a model definition")
     p.add_argument("name")
     p.set_defaults(func=_cmd_model_show)
+    p = model_sub.add_parser("remove", help="delete a model with its parameters and bindings")
+    p.add_argument("name")
+    p.set_defaults(func=_cmd_model_remove)
     p = model_sub.add_parser("sytherm", help="install the built-in SYTHERM model")
     p.add_argument("--channels", type=_int, default=3)
     p.set_defaults(func=_cmd_model_sytherm)
@@ -164,14 +162,10 @@ def run(argv=None) -> int:
         if read_text(arg) is None:
             print(f"ERROR InvalidArgument: {arg!r} is not UTF-8 text", file=sys.stderr)
             return 2
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # a usage error, or no store path
         return exc.code if isinstance(exc.code, int) else 2
     except (LvmforgeError, OSError) as exc:
         name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
@@ -224,6 +218,12 @@ def _cmd_model_list(args) -> int:
 def _cmd_model_show(args) -> int:
     with _open_store(args) as store:
         print(render_model_definition(store.get_equipment(args.name)), end="")
+    return 0
+
+
+def _cmd_model_remove(args) -> int:
+    with _open_store(args) as store:
+        store.remove_equipment(args.name)
     return 0
 
 

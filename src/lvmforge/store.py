@@ -152,6 +152,13 @@ _INSERT_POINT = _SERIES_COLUMNS + " VALUES (?,?,?,?,?)"
 _INSERT_BATCH = _SERIES_COLUMNS + " VALUES " + ",".join(
     f"(?1,?2,?3+{j},?{4 + 2 * j},?{5 + 2 * j})" for j in range(_BATCH))
 
+# Store.remove_equipment's statements, children first
+_REMOVE_EQUIPMENT = (
+    "DELETE FROM t_efe_equipmentfileextension WHERE eqp_number = ?",
+    "DELETE FROM t_prm_parameters WHERE eqp_number = ?",
+    "DELETE FROM t_eqp_equipments WHERE eqp_number = ?",
+)
+
 # Store.query's one statement: a filter whose argument is NULL passes.
 # Operator and Date come through the (eqp_number, prm_name) and
 # (msr_number, prm_number) unique indexes.
@@ -341,6 +348,24 @@ class Store:
         with _sqlite_errors(self._path):
             return [r[0] for r in self._conn.execute(
                 "SELECT eqp_name FROM t_eqp_equipments ORDER BY eqp_name")]
+
+    def remove_equipment(self, name: str) -> None:
+        """Delete a model with its bindings and parameters in one transaction.
+
+        Reads only the model's t_eqp_equipments row, so a stored model that
+        no longer constructs can be removed.  Raises UnknownEquipment, or
+        ForeignKeyViolation while a measurement uses the model.
+        """
+        with self._transaction() as conn:
+            row = conn.execute("SELECT eqp_number FROM t_eqp_equipments WHERE eqp_name = ?",
+                               (name,)).fetchone()
+            if row is None:
+                raise UnknownEquipment(name)
+            try:
+                for statement in _REMOVE_EQUIPMENT:
+                    conn.execute(statement, row)
+            except sqlite3.IntegrityError:  # a measurement references the model
+                raise ForeignKeyViolation(f"{name} has measurements") from None
 
     def _parameter_ids(self, eqp_number: int) -> dict[str, tuple[int, ParameterDefinition]]:
         """name -> (prm_number, definition), read through the model's

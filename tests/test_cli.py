@@ -166,6 +166,41 @@ def test_model_add_list_show(cli, tmp_path):
     assert err.startswith("ERROR UnknownEquipment")
 
 
+def _table_counts(path):
+    conn = sqlite3.connect(path)
+    tables = [r[0] for r in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")]
+    counts = {t: conn.execute(f"SELECT count(*) FROM {t}").fetchone()[0] for t in tables}
+    conn.close()
+    return counts
+
+
+def test_model_remove_clears_a_model_no_command_can_build(cli_with_sytherm, tmp_path):
+    # text put_equipment refuses today, written by a store from before that rule
+    conn = sqlite3.connect(tmp_path / "store.db")
+    with conn:
+        conn.execute("UPDATE t_eqp_equipments SET eqp_producer = ' MagLab '")
+    conn.close()
+    err = cli_with_sytherm("model", "show", "SYTHERM", expect=1).err
+    assert err.startswith("ERROR MalformedDefinition")
+    assert cli_with_sytherm("model", "remove", "SYTHERM").out == ""
+    assert cli_with_sytherm("model", "list").out == ""
+    counts = _table_counts(tmp_path / "store.db")
+    assert counts["t_prm_parameters"] == counts["t_efe_equipmentfileextension"] == 0
+    assert counts["t_psf_parsingfunction"] == 1
+    err = cli_with_sytherm("model", "remove", "SYTHERM", expect=1).err
+    assert err.splitlines() == ["ERROR UnknownEquipment: SYTHERM"]
+    cli_with_sytherm("model", "sytherm")  # the name is free again
+
+
+def test_model_remove_refuses_a_model_with_records(cli_with_sytherm, tmp_path):
+    import_annex(cli_with_sytherm)
+    before = _table_counts(tmp_path / "store.db")
+    captured = cli_with_sytherm("model", "remove", "SYTHERM", expect=1)
+    assert (captured.out, captured.err.splitlines()) == (
+        "", ["ERROR ForeignKeyViolation: SYTHERM has measurements"])
+    assert _table_counts(tmp_path / "store.db") == before
+
+
 def test_gen_import_analyze_tau(cli_with_sytherm, tmp_path):
     gen_path = tmp_path / "synth.lvm"
     cli_with_sytherm("gen", "--tau", "15", "--y0", "100", "--yinf", "20",

@@ -215,6 +215,39 @@ def test_dispatch_errors_are_the_stores(store, sytherm3):
         assert {t: count(store, t) for t in EXPECTED_TABLES} == before
 
 
+def test_remove_equipment_deletes_the_model_its_parameters_and_bindings(store, sytherm3):
+    other = dataclasses.replace(builtin_sytherm(2), name="OTHER")
+    store.put_equipment(sytherm3)
+    store.put_equipment(other)
+    store.put_procedure(ParsingProcedure("P", LVM_HANDLER_ID))
+    for name in ("SYTHERM", "OTHER"):
+        store.put_binding(ParsingBinding(name, "P", "lvm"))
+    store.remove_equipment("SYTHERM")
+    assert store.list_equipment() == ["OTHER"]
+    assert store.list_bindings() == [ParsingBinding("OTHER", "P", "lvm")]
+    assert store.list_procedures() == ["P"]
+    assert count(store, "t_prm_parameters") == len(other.parameters)
+    assert store.get_equipment("OTHER") == other
+    with pytest.raises(UnknownEquipment, match="^SYTHERM$"):
+        store.remove_equipment("SYTHERM")
+
+
+@pytest.mark.parametrize("with_values", [True, False])
+def test_remove_equipment_refuses_a_model_with_measurements(store, sytherm3, annex_record,
+                                                            with_values):
+    """Refused by the schema's foreign keys, whether the record's value rows
+    or only its measurement row reference the model; no table changes."""
+    store.put_equipment(sytherm3)
+    store.put_procedure(ParsingProcedure("P", LVM_HANDLER_ID))
+    store.put_binding(ParsingBinding("SYTHERM", "P", "lvm"))
+    store.put_measurement(annex_record if with_values else MeasurementRecord(
+        equipment_name="SYTHERM", imported_at=datetime(2024, 1, 1), source_file="x.lvm"))
+    before = {t: count(store, t) for t in EXPECTED_TABLES}
+    with pytest.raises(ForeignKeyViolation, match="^SYTHERM has measurements$"):
+        store.remove_equipment("SYTHERM")
+    assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+
+
 def test_resolve_sends_one_statement_that_searches_the_binding_index(store, sytherm3):
     """resolve finds the binding through the (eqp_number, efe_extension)
     unique index; no table is scanned."""
@@ -621,6 +654,7 @@ _STORE_CALLS = {
     "put_equipment": lambda s, r, msr: s.put_equipment(
         dataclasses.replace(builtin_sytherm(2), name="OTHER")),
     "get_equipment": lambda s, r, msr: s.get_equipment("SYTHERM"),
+    "remove_equipment": lambda s, r, msr: s.remove_equipment("SYTHERM"),
     "list_equipment": lambda s, r, msr: s.list_equipment(),
     "put_procedure": lambda s, r, msr: s.put_procedure(
         ParsingProcedure("OTHER", LVM_HANDLER_ID)),
@@ -634,8 +668,8 @@ _STORE_CALLS = {
     "delete_measurement": lambda s, r, msr: s.delete_measurement(msr),
     "update_value": lambda s, r, msr: s.update_value(msr, "Operator", "Student1"),
 }
-_WRITES = {"put_equipment", "put_procedure", "put_binding", "put_measurement",
-           "delete_measurement", "update_value"}
+_WRITES = {"put_equipment", "remove_equipment", "put_procedure", "put_binding",
+           "put_measurement", "delete_measurement", "update_value"}
 
 
 def _drop_series(path, store):
