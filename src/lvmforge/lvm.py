@@ -377,7 +377,7 @@ def _is_terminator(line: str) -> bool:
     return line.rstrip("\t, ") == HEADER_TERMINATOR
 
 
-def _header_block(lines: list[tuple[str, int]], at: int):
+def _header_block(lines: list[tuple[str, int]], at: int) -> tuple[list, int]:
     """The lines from index at up to the next header terminator, and the
     index after that terminator (len(lines) + 1 when there is none)."""
     end = next((i for i in range(at, len(lines)) if _is_terminator(lines[i][0])), len(lines))
