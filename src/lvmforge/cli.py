@@ -164,7 +164,12 @@ def run(argv=None) -> int:
             return 2
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        if args.command == "gen":
+            args.func(args)
+        else:
+            with store_mod.init_schema(_store_path(args)) as store:
+                args.func(args, store)
+        return 0
     except SystemExit as exc:  # a usage error, or no store path
         return exc.code if isinstance(exc.code, int) else 2
     except (LvmforgeError, OSError) as exc:
@@ -186,91 +191,63 @@ def _store_path(args) -> str:
     return path
 
 
-def _open_store(args) -> store_mod.Store:
-    return store_mod.init_schema(_store_path(args))
+# -- command handlers: each does its command's work on the store run opened
+
+def _cmd_init(args, store) -> None:
+    print(_store_path(args))
 
 
-# -- command handlers -----------------------------------------------------
-
-def _cmd_init(args) -> int:
-    path = _store_path(args)
-    store_mod.init_schema(path).close()
-    print(path)
-    return 0
-
-
-def _cmd_model_add(args) -> int:
+def _cmd_model_add(args, store) -> None:
     with open(args.definition_file, encoding="utf-8") as handle:
         model = parse_model_definition(handle.read())
-    with _open_store(args) as store:
-        store.put_equipment(model)
+    store.put_equipment(model)
     print(model.name)
-    return 0
 
 
-def _cmd_model_list(args) -> int:
-    with _open_store(args) as store:
-        for name in store.list_equipment():
-            print(name)
-    return 0
+def _cmd_model_list(args, store) -> None:
+    for name in store.list_equipment():
+        print(name)
 
 
-def _cmd_model_show(args) -> int:
-    with _open_store(args) as store:
-        print(render_model_definition(store.get_equipment(args.name)), end="")
-    return 0
+def _cmd_model_show(args, store) -> None:
+    print(render_model_definition(store.get_equipment(args.name)), end="")
 
 
-def _cmd_model_remove(args) -> int:
-    with _open_store(args) as store:
-        store.remove_equipment(args.name)
-    return 0
+def _cmd_model_remove(args, store) -> None:
+    store.remove_equipment(args.name)
 
 
-def _cmd_model_sytherm(args) -> int:
+def _cmd_model_sytherm(args, store) -> None:
     model = builtin_sytherm(args.channels)
-    with _open_store(args) as store:
-        store.put_equipment(model)
+    store.put_equipment(model)
     print(model.name)
-    return 0
 
 
-def _cmd_proc_add(args) -> int:
+def _cmd_proc_add(args, store) -> None:
     procedure = ParsingProcedure(args.name)
-    with _open_store(args) as store:
-        store.put_procedure(procedure)
+    store.put_procedure(procedure)
     print(procedure.name)
-    return 0
 
 
-def _cmd_bind(args) -> int:
+def _cmd_bind(args, store) -> None:
     binding = ParsingBinding(args.equipment, args.procedure, args.extension)
-    with _open_store(args) as store:
-        store.put_binding(binding)
+    store.put_binding(binding)
     print(binding.binding_name)
-    return 0
 
 
-def _cmd_import(args) -> int:
-    with _open_store(args) as store:
-        record_id = import_file(args.file, args.equipment, None, store)
-    print(record_id)
-    return 0
+def _cmd_import(args, store) -> None:
+    print(import_file(args.file, args.equipment, None, store))
 
 
-def _cmd_list(args) -> int:
-    with _open_store(args) as store:
-        summaries = store.query(equipment=args.equipment, operator=args.operator,
-                                date_from=args.date_from, date_to=args.date_to)
-    for s in summaries:
+def _cmd_list(args, store) -> None:
+    for s in store.query(equipment=args.equipment, operator=args.operator,
+                         date_from=args.date_from, date_to=args.date_to):
         print(f"{s.record_id}\t{s.equipment_name}\t{s.imported_at.isoformat()}"
               f"\t{s.source_file}\t{s.operator or ''}")
-    return 0
 
 
-def _cmd_show(args) -> int:
-    with _open_store(args) as store:
-        record = store.get_measurement(args.id)
+def _cmd_show(args, store) -> None:
+    record = store.get_measurement(args.id)
     print(f"id: {record.record_id}")
     print(f"equipment: {record.equipment_name}")
     print(f"imported-at: {record.imported_at.isoformat()}")
@@ -287,29 +264,22 @@ def _cmd_show(args) -> int:
         print(f"series {series.name}{unit}: {len(series.points)} points")
     for warning in record.warnings:
         print(f"warning: {warning}")
-    return 0
 
 
-def _cmd_edit(args) -> int:
-    with _open_store(args) as store:
-        store.update_value(args.id, args.parameter, args.value)
-    return 0
+def _cmd_edit(args, store) -> None:
+    store.update_value(args.id, args.parameter, args.value)
 
 
-def _cmd_remove(args) -> int:
-    with _open_store(args) as store:
-        store.delete_measurement(args.id)
-    return 0
+def _cmd_remove(args, store) -> None:
+    store.delete_measurement(args.id)
 
 
-def _cmd_export(args) -> int:
-    with _open_store(args) as store:
-        record = store.get_measurement(args.id)
+def _cmd_export(args, store) -> None:
+    record = store.get_measurement(args.id)
     exporter = export_mod.export_xml if args.format == "xml" else export_mod.export_csv
     with open(args.out, "wb") as handle:
         handle.write(exporter(record))
     print(args.out)
-    return 0
 
 
 def _series_points(store, record_id, channel):
@@ -319,26 +289,21 @@ def _series_points(store, record_id, channel):
     return record.series[channel].points
 
 
-def _cmd_analyze_nonlin(args) -> int:
-    with _open_store(args) as store:
-        points = _series_points(store, args.id, args.channel)
+def _cmd_analyze_nonlin(args, store) -> None:
+    points = _series_points(store, args.id, args.channel)
     data = analysis.NonLinearityInput(
         t_real=tuple(y for _, y in points), t_ref=args.refs, t_ref30=args.tref30)
     for eps in analysis.nonlinearity_error(data):
         print(f"{eps:.6f}")
-    return 0
 
 
-def _cmd_analyze_tau(args) -> int:
-    with _open_store(args) as store:
-        points = _series_points(store, args.id, args.channel)
+def _cmd_analyze_tau(args, store) -> None:
+    points = _series_points(store, args.id, args.channel)
     response = analysis.step_response_from_series(points)
-    tau = analysis.estimate_time_constant(response)
-    print(f"{tau:.6f}")
-    return 0
+    print(f"{analysis.estimate_time_constant(response):.6f}")
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     now = datetime.now()
     responses = [
         analysis.synth_first_order(args.y0, args.yinf, args.tau, args.dt, args.n,
@@ -351,7 +316,6 @@ def _cmd_gen(args) -> int:
     with open(args.out, "wb") as handle:
         handle.write(serialize_lvm(doc))
     print(args.out)
-    return 0
 
 
 if __name__ == "__main__":
