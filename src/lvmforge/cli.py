@@ -172,6 +172,8 @@ def run(argv=None) -> int:
         return 0
     except SystemExit as exc:  # a usage error, or no store path
         return exc.code if isinstance(exc.code, int) else 2
+    except BrokenPipeError:  # stdout's reader has gone: not an error of the command
+        raise
     except (LvmforgeError, OSError) as exc:
         name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
         print(f"ERROR {name}: {exc}", file=sys.stderr)
@@ -179,7 +181,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # where a closed pipe shows when stdout is buffered
+    except BrokenPipeError:
+        # The reader closed early, as in `lvmforge show 1 | head -1`.  Exit as a
+        # process that SIGPIPE ended reports in a shell, and point stdout at
+        # devnull so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    sys.exit(code)
 
 
 def _store_path(args) -> str:

@@ -310,6 +310,24 @@ def test_storage_failure_is_one_error_line(cli_with_sytherm, tmp_path):
         assert str(store_path) in lines[0], argv
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_pipe_exits_as_sigpipe_with_no_error_line(cli_with_sytherm, tmp_path,
+                                                                  unbuffered):
+    record_id = import_annex(cli_with_sytherm)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the command writes
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "lvmforge.cli", "--store", str(tmp_path / "store.db"),
+             "show", record_id], stdout=write_end, stderr=subprocess.PIPE, env=env,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")
+
+
 _ANNEX = ("import", str(ANNEX1_PATH), "--equipment", "SYTHERM")
 
 
