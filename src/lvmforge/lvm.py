@@ -436,6 +436,8 @@ def _parse_file_header(block: list[tuple[str, int]]) -> LvmFileHeader:
         else:
             fields[name] = _field(read, value, line_no, 2)
     ds = fields.get("decimal_separator", ".")
+    if ds == sep:
+        raise UnsupportedFeature(f"Decimal_Separator={ds!r} is also the field separator")
     for name, (read, value, line_no) in localized.items():
         fields[name] = _field(read, value, line_no, 2, ds)
     return LvmFileHeader(extra_keys=extra, **fields)
@@ -484,19 +486,19 @@ def _parse_segment(lines: list[tuple[str, int]], at: int, sep: str,
 
     # Data rows run until EOF or until a non-numeric first field, which
     # marks the start of the next segment's header.  A row of 1 + channels
-    # fields on the alphabet _FAST_ALPHABET + sep + ds (sep != ds) takes one
-    # float() per field: on that alphabet float() accepts exactly
-    # read_real's grammar once ds reads as ".", as no whitespace, "_",
-    # "inf"/"nan" or non-ASCII digit can occur.  isascii() comes first, as
-    # encode() raises on a lone surrogate.  Every other row (a comment, an
-    # empty sample, a header line, text float() rejects, a non-finite sum)
-    # reads each field through read_real, which raises the exact error.
-    shortcut = sep != ds
+    # fields on the alphabet _FAST_ALPHABET + sep + ds (the file header
+    # refuses sep == ds) takes one float() per field: on that alphabet
+    # float() accepts exactly read_real's grammar once ds reads as ".", as
+    # no whitespace, "_", "inf"/"nan" or non-ASCII digit can occur.
+    # isascii() comes first, as encode() raises on a lone surrogate.  Every
+    # other row (a comment, an empty sample, a header line, text float()
+    # rejects, a non-finite sum) reads each field through read_real, which
+    # raises the exact error.
     alphabet = _FAST_ALPHABET + (sep + ds).encode()
     match_real = _REAL_PATTERNS[ds].fullmatch
     for at in range(at + 1, len(lines)):
         line, line_no = lines[at]
-        if shortcut and line.isascii() and not line.encode().translate(None, alphabet):
+        if line.isascii() and not line.encode().translate(None, alphabet):
             fields = line.replace(ds, ".").split(sep)
             if len(fields) == 1 + channels:
                 try:

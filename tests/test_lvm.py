@@ -251,6 +251,8 @@ def test_header_list_length_mismatch():
     ("Separator\tTab", "Separator,Tab"),
     ("Separator\tTab", "Separator\tTab\nSeparator\tComma"),
     ("Decimal_Separator\t,", "Decimal_Separator\t;"),
+    # a comma cannot be both the field and the decimal separator
+    ("Separator\tTab", "Separator,Comma\nDecimal_Separator,,"),
     ("Time_Pref\tAbsolute", "Time_Pref\tSometimes"),
 ])
 def test_unsupported_features(annex1_bytes, line, replacement):
