@@ -472,6 +472,8 @@ def _parse_segment(lines: list[tuple[str, int]], at: int, sep: str,
 
     if channels is None:
         channels = fields["channels"] = len(column_names) - 1 - has_comment
+    if channels < 1:
+        raise ChannelCountMismatch(1, channels, "a segment needs at least one channel")
     expected_cols = 1 + channels + has_comment
     if len(column_names) != expected_cols:
         raise ChannelCountMismatch(expected_cols, len(column_names), "column-name row")

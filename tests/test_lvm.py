@@ -403,6 +403,14 @@ def test_column_row_count_mismatch():
     assert info.value.found == 2
 
 
+@pytest.mark.parametrize("channels_line", ["Channels\t0\n", ""])
+def test_a_segment_with_no_channel_is_refused(channels_line):
+    text = MINIMAL.replace("Channels\t1\n", channels_line).replace("\tChannel 0", "")
+    with pytest.raises(ChannelCountMismatch, match="at least one channel") as info:
+        parse_lvm(text + "0.0\n1.0\n")
+    assert (info.value.expected, info.value.found) == (1, 0)
+
+
 def test_serializer_rejects_comma_comma():
     doc = LvmDocument(
         header=LvmFileHeader(separator=Separator.COMMA, decimal_separator=","),
