@@ -75,7 +75,7 @@ def test_bind_prints_binding_name(cli):
     assert out.strip() == "LVM_PARSING_LVM"
 
 
-def test_list_and_show(cli_with_sytherm):
+def test_list_and_show(cli_with_sytherm, tmp_path):
     record_id = import_annex(cli_with_sytherm)
     listing = cli_with_sytherm("list", "--operator", "Profesor").out
     line = listing.strip().splitlines()[0].split("\t")
@@ -86,7 +86,15 @@ def test_list_and_show(cli_with_sytherm):
     shown = cli_with_sytherm("show", record_id).out
     assert "Operator = Profesor" in shown
     assert "series Channel_2 (CelsiusDegree): 16 points" in shown
+    assert "warning:" not in shown
     assert cli_with_sytherm("list", "--operator", "Nobody").out == ""
+    # an import that warns: show ends with one line per warning
+    warned = tmp_path / "warned.lvm"
+    warned.write_bytes(ANNEX1_PATH.read_bytes().replace(
+        b"Time_Pref\tAbsolute", b"Time_Pref\tAbsolute\nZeta\tz"))
+    warned_id = cli_with_sytherm("import", str(warned), "--equipment", "SYTHERM").out.strip()
+    shown = cli_with_sytherm("show", warned_id).out
+    assert shown.splitlines()[-1] == "warning: unknown header key 'Zeta'"
 
 
 def test_list_date_bounds_are_dates(cli_with_sytherm):
