@@ -5,9 +5,18 @@ install equipment models and parsing procedures, import .lvm files, list,
 view, edit and remove measurements, export to XML/CSV, run the
 thermocouple analyses and generate synthetic .lvm files.
 
+``run`` owns each command's lifecycle: it parses the arguments, opens the
+store (``init_schema``, so a path with no store yet gets an empty one),
+calls the command's handler with the arguments and that store, closes the
+store and returns the exit status.  A handler does only its command's
+work.  ``gen`` writes a file and opens no store.
+
 Success output is line oriented and stable; record ids are printed alone
 on the final line.  Domain errors map to one ``ERROR <Name>: <detail>``
 line on stderr and exit code 1; usage errors and non-UTF-8 arguments exit 2.
+A stdout whose reader has closed (``lvmforge show 1 | head -1``) is no
+error of the command: ``main`` exits 141 (128 + SIGPIPE), as a shell
+reports a process SIGPIPE ended, with nothing on stderr.
 """
 
 from __future__ import annotations
