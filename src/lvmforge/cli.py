@@ -211,7 +211,7 @@ def _store_path(args) -> str:
     return path
 
 
-# -- command handlers: each does its command's work on the store run opened
+# -- command handlers: run passes each one the store it opened ----------
 
 def _cmd_init(args, store) -> None:
     print(_store_path(args))
