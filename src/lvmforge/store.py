@@ -24,11 +24,17 @@ value in one UPSERT, whether the record has it or not.  query sends one
 statement whatever its filters, and every query or DML text here is a
 constant, so no statement is built at run time.  put_procedure,
 put_binding and resolve apply every dispatch rule over procedures and
-bindings.  All writes are transactional; the engine is SQLite (single
-writer, many readers).  This is schema version 2; init_schema migrates a
-version-1 store (t_ser_series as a rowid table, no msr_series) on open.
-Every SQLite failure, at open time or later, surfaces as a
+bindings.  This is schema version 2; init_schema migrates a version-1
+store (t_ser_series as a rowid table, no msr_series) on open.  Every
+SQLite failure, at open time or later, surfaces as a
 :class:`~lvmforge.errors.StorageError` (see _sqlite_errors).
+
+Each Store call is one transaction: the connection is in autocommit mode
+and Store._transaction alone sends BEGIN, COMMIT and ROLLBACK.  Writes and
+init_schema begin IMMEDIATE, taking SQLite's one write lock before their
+first read, so concurrent writers queue on the busy timeout; get_equipment
+and get_measurement begin deferred, so their statements read one state; a
+one-statement read runs alone.  Any error rolls the whole call back.
 """
 
 from __future__ import annotations
@@ -75,8 +81,8 @@ from .model import (
 
 SCHEMA_VERSION = 2
 
-_SCHEMA = """
-CREATE TABLE t_eqp_equipments (
+# one statement each: executescript would commit before running them
+_SCHEMA = ("""CREATE TABLE t_eqp_equipments (
     eqp_number      INTEGER PRIMARY KEY,
     eqp_name        TEXT NOT NULL UNIQUE,
     eqp_producer    TEXT NOT NULL DEFAULT '',
@@ -86,20 +92,17 @@ CREATE TABLE t_eqp_equipments (
     eqp_visualmodel TEXT,
     eqp_extensions  TEXT NOT NULL DEFAULT '',
     eqp_ignoredkeys TEXT NOT NULL DEFAULT ''
-);
-CREATE TABLE t_psf_parsingfunction (
+)""", """CREATE TABLE t_psf_parsingfunction (
     psf_number INTEGER PRIMARY KEY,
     psf_name   TEXT NOT NULL UNIQUE
-);
-CREATE TABLE t_efe_equipmentfileextension (
+)""", """CREATE TABLE t_efe_equipmentfileextension (
     efe_number    TEXT NOT NULL,
     eqp_number    INTEGER NOT NULL REFERENCES t_eqp_equipments(eqp_number),
     psf_number    INTEGER NOT NULL REFERENCES t_psf_parsingfunction(psf_number),
     efe_extension TEXT NOT NULL,
     UNIQUE (eqp_number, psf_number, efe_extension),
     UNIQUE (eqp_number, efe_extension)
-);
-CREATE TABLE t_prm_parameters (
+)""", """CREATE TABLE t_prm_parameters (
     prm_number   INTEGER PRIMARY KEY,
     eqp_number   INTEGER NOT NULL REFERENCES t_eqp_equipments(eqp_number),
     prm_name     TEXT NOT NULL,
@@ -108,8 +111,7 @@ CREATE TABLE t_prm_parameters (
     prm_unit     TEXT,
     prm_source   TEXT NOT NULL,
     UNIQUE (eqp_number, prm_name)
-);
-CREATE TABLE t_msr_measurements (
+)""", """CREATE TABLE t_msr_measurements (
     msr_number      INTEGER PRIMARY KEY,
     eqp_number      INTEGER NOT NULL REFERENCES t_eqp_equipments(eqp_number),
     msr_imported_at TEXT NOT NULL,
@@ -117,15 +119,13 @@ CREATE TABLE t_msr_measurements (
     msr_warnings    TEXT NOT NULL DEFAULT '[]',
     msr_aux         TEXT NOT NULL DEFAULT '{}',
     msr_series      TEXT NOT NULL DEFAULT '[]'
-);
-CREATE TABLE t_val_values (
+)""", """CREATE TABLE t_val_values (
     val_number INTEGER PRIMARY KEY,
     msr_number INTEGER NOT NULL REFERENCES t_msr_measurements(msr_number),
     prm_number INTEGER NOT NULL REFERENCES t_prm_parameters(prm_number),
     val_text   TEXT NOT NULL,
     UNIQUE (msr_number, prm_number)
-);
-"""
+)""")
 
 # one B-tree entry per point; the key is the read order of get_measurement
 # and keeps the v1 rule that a series has each index once
@@ -208,63 +208,61 @@ class RecordSummary:
 def init_schema(storage_path) -> "Store":
     """Open (creating if necessary) the store at the given path.
 
-    Idempotent: re-initializing an existing valid store is a no-op.  A
-    version-1 store is migrated in one transaction (see _migrate_v1); a
-    store written with any other schema version raises SchemaVersionMismatch.
+    Idempotent: re-initializing an existing valid store is a no-op.  A new
+    store is created, and a version-1 store migrated (see _migrate_v1), in
+    one transaction; any other schema version raises SchemaVersionMismatch.
     """
     with _sqlite_errors(storage_path):
-        conn = sqlite3.connect(str(storage_path))
+        store = Store(sqlite3.connect(str(storage_path), isolation_level=None), storage_path)
         try:
-            conn.execute("PRAGMA foreign_keys = ON")
-            version = conn.execute("PRAGMA user_version").fetchone()[0]
-            if version == 0:
-                tables = conn.execute(
-                    "SELECT count(*) FROM sqlite_master WHERE type = 'table'").fetchone()[0]
-                if tables:
-                    raise SchemaVersionMismatch(f"{storage_path}: existing database"
-                                                " carries no lvmforge version marker")
-                with conn:
-                    conn.executescript(_SCHEMA + _SERIES_TABLE.format("t_ser_series"))
+            store._conn.execute("PRAGMA foreign_keys = ON")  # a no-op inside a transaction
+            with store._transaction() as conn:
+                version = conn.execute("PRAGMA user_version").fetchone()[0]
+                if version == 0:
+                    tables = "SELECT count(*) FROM sqlite_master WHERE type = 'table'"
+                    if conn.execute(tables).fetchone()[0]:
+                        raise SchemaVersionMismatch(f"{storage_path}: existing database"
+                                                    " carries no lvmforge version marker")
+                    for statement in (*_SCHEMA, _SERIES_TABLE.format("t_ser_series")):
+                        conn.execute(statement)
                     conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
-            elif version == 1:
-                _migrate_v1(conn)
-            elif version != SCHEMA_VERSION:
-                raise SchemaVersionMismatch(
-                    f"{storage_path}: schema version {version}, expected {SCHEMA_VERSION}")
+                elif version == 1:
+                    _migrate_v1(conn)
+                elif version != SCHEMA_VERSION:
+                    raise SchemaVersionMismatch(
+                        f"{storage_path}: schema version {version}, expected {SCHEMA_VERSION}")
         except BaseException:
-            conn.close()
+            store.close()
             raise
-    return Store(conn, storage_path)
+    return store
 
 
 def _migrate_v1(conn: sqlite3.Connection) -> None:
-    """Rewrite a version-1 store as version 2 in one transaction; any
-    failure rolls it back and leaves the store at version 1.
+    """Rewrite a version-1 store as version 2 inside init_schema's
+    transaction; any failure rolls it back and leaves the store at version 1.
 
     Version 1 kept the points in a rowid table (written once to the table
     and once to its UNIQUE index) and no msr_series: a record's series
     came back in insertion order, which is record order, so msr_series
     takes each measurement's series ordered by their first ser_number.
     """
-    with conn:
-        conn.execute("BEGIN")
-        conn.execute("ALTER TABLE t_msr_measurements"
-                     " ADD COLUMN msr_series TEXT NOT NULL DEFAULT '[]'")
-        order: dict[int, list[int]] = {}
-        for msr_number, prm_number in conn.execute(
-                "SELECT msr_number, prm_number FROM t_ser_series"
-                " GROUP BY msr_number, prm_number ORDER BY msr_number, min(ser_number)"):
-            order.setdefault(msr_number, []).append(prm_number)
-        conn.executemany(
-            "UPDATE t_msr_measurements SET msr_series = ? WHERE msr_number = ?",
-            [(json.dumps(prm_numbers), msr) for msr, prm_numbers in order.items()])
-        conn.execute(_SERIES_TABLE.format("t_ser_series_v2"))
-        conn.execute(
-            "INSERT INTO t_ser_series_v2 SELECT msr_number, prm_number, ser_index, ser_x,"
-            " ser_y FROM t_ser_series ORDER BY msr_number, prm_number, ser_index")
-        conn.execute("DROP TABLE t_ser_series")
-        conn.execute("ALTER TABLE t_ser_series_v2 RENAME TO t_ser_series")
-        conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+    conn.execute("ALTER TABLE t_msr_measurements"
+                 " ADD COLUMN msr_series TEXT NOT NULL DEFAULT '[]'")
+    order: dict[int, list[int]] = {}
+    for msr_number, prm_number in conn.execute(
+            "SELECT msr_number, prm_number FROM t_ser_series"
+            " GROUP BY msr_number, prm_number ORDER BY msr_number, min(ser_number)"):
+        order.setdefault(msr_number, []).append(prm_number)
+    conn.executemany(
+        "UPDATE t_msr_measurements SET msr_series = ? WHERE msr_number = ?",
+        [(json.dumps(prm_numbers), msr) for msr, prm_numbers in order.items()])
+    conn.execute(_SERIES_TABLE.format("t_ser_series_v2"))
+    conn.execute(
+        "INSERT INTO t_ser_series_v2 SELECT msr_number, prm_number, ser_index, ser_x,"
+        " ser_y FROM t_ser_series ORDER BY msr_number, prm_number, ser_index")
+    conn.execute("DROP TABLE t_ser_series")
+    conn.execute("ALTER TABLE t_ser_series_v2 RENAME TO t_ser_series")
+    conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
 
 @contextmanager
@@ -300,10 +298,19 @@ class Store:
         self.close()
 
     @contextmanager
-    def _transaction(self):
-        """One atomic write: committed on success, rolled back on any error."""
-        with _sqlite_errors(self._path), self._conn as conn:
-            yield conn
+    def _transaction(self, begin: str = "BEGIN IMMEDIATE"):
+        """The block as one transaction, committed on success and rolled back
+        on any error.  Writes begin IMMEDIATE, taking the write lock at once;
+        a read of several statements passes "BEGIN" to read one state."""
+        with _sqlite_errors(self._path):
+            self._conn.execute(begin)
+            try:
+                yield self._conn
+                self._conn.execute("COMMIT")
+            except BaseException:
+                if self._conn.in_transaction:  # SQLite ends it itself on some errors
+                    self._conn.execute("ROLLBACK")
+                raise
 
     # -- equipments ---------------------------------------------------------
 
@@ -329,7 +336,7 @@ class Store:
             return eqp
 
     def get_equipment(self, name: str) -> EquipmentModel:
-        with _sqlite_errors(self._path):
+        with self._transaction("BEGIN"):
             row = self._conn.execute(
                 "SELECT eqp_number, eqp_name, eqp_producer, eqp_description,"
                 " eqp_webpage, eqp_picture, eqp_visualmodel, eqp_extensions,"
@@ -527,7 +534,7 @@ class Store:
             return msr
 
     def get_measurement(self, msr_number: int) -> MeasurementRecord:
-        with _sqlite_errors(self._path):
+        with self._transaction("BEGIN"):
             row = self._conn.execute(
                 "SELECT m.eqp_number, q.eqp_name, m.msr_imported_at, m.msr_sourcefile,"
                 " m.msr_warnings, m.msr_aux, m.msr_series FROM t_msr_measurements m"

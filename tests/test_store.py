@@ -3,9 +3,14 @@ import itertools
 import json
 import math
 import random
+import os
+import pathlib
 import re
 import sqlite3
+import subprocess
+import sys
 import tempfile
+import threading
 from datetime import date, datetime
 
 import pytest
@@ -49,7 +54,7 @@ from lvmforge.ingest import LVM_HANDLER_ID
 from lvmforge.lvm import read_text
 from lvmforge.store import _BATCH, _QUERY, Store
 
-from conftest import equipment_models
+from conftest import ANNEX1_PATH, equipment_models
 
 EXPECTED_TABLES = {
     "t_eqp_equipments", "t_psf_parsingfunction", "t_efe_equipmentfileextension",
@@ -997,3 +1002,188 @@ def test_lone_surrogate_text_is_a_storage_error(tmp_path, store, sytherm3, annex
         with pytest.raises(StorageError):
             call()
     assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+
+
+# -- one transaction per call ------------------------------------------------------
+
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+# a worker process: it says "ready", then opens each store path it reads
+# and prints "ok" or the error
+_OPENER = """
+import sys
+from lvmforge import init_schema
+print("ready", flush=True)
+for line in sys.stdin:
+    try:
+        init_schema(line.rstrip("\\n")).close()
+        print("ok", flush=True)
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}", flush=True)
+"""
+
+
+def _workers(script, *args, count):
+    """count started processes running script, each past its "ready" line."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    workers = [subprocess.Popen([sys.executable, "-c", script, *map(str, args)], env=env,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+               for _ in range(count)]
+    for worker in workers:
+        assert worker.stdout.readline() == "ready\n"
+    return workers
+
+
+def _release(workers, line):
+    """Send line to every worker at once; returns each one's answer."""
+    for worker in workers:
+        worker.stdin.write(line + "\n")
+        worker.stdin.flush()
+    return [worker.stdout.readline().rstrip("\n") for worker in workers]
+
+
+def _stop(workers):
+    for worker in workers:
+        worker.stdin.close()
+    for worker in workers:
+        assert worker.wait(timeout=60) == 0
+        worker.stdout.close()
+
+
+def test_concurrent_first_opens_of_one_path_all_succeed(tmp_path):
+    """Four processes open one fresh path at the same moment, over ten
+    rounds: one creates the store, the others wait for it and find it."""
+    workers = _workers(_OPENER, count=4)
+    try:
+        for round_ in range(10):
+            path = tmp_path / f"store{round_}.db"
+            assert _release(workers, str(path)) == ["ok"] * 4, round_
+            with init_schema(path) as store:
+                assert store._conn.execute("PRAGMA user_version").fetchone()[0] == 2
+                assert table_names(store) == EXPECTED_TABLES
+    finally:
+        _stop(workers)
+
+
+def test_a_creation_that_fails_partway_leaves_no_table(tmp_path, monkeypatch):
+    path = tmp_path / "store.db"
+    connect = sqlite3.connect
+
+    def refusing_connect(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        conn.set_authorizer(lambda action, table, *_: sqlite3.SQLITE_DENY if (
+            action == sqlite3.SQLITE_CREATE_TABLE and table == "t_val_values")
+            else sqlite3.SQLITE_OK)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", refusing_connect)
+    with pytest.raises(StorageUnavailable, match=re.escape(str(path))):
+        init_schema(path)
+    monkeypatch.undo()
+    assert _dump(path) == (0, [], {})
+    with init_schema(path) as store:  # the next open initializes the store
+        assert table_names(store) == EXPECTED_TABLES
+        assert store._conn.execute("PRAGMA user_version").fetchone()[0] == 2
+
+
+def _run_during(store, marker, call):
+    """Have call() run in a second thread when the store's connection starts
+    a statement holding marker, and give it 0.5 s before that statement
+    runs.  Returns the thread and the list that receives call()'s result or
+    error."""
+    outcome = []
+    thread = threading.Thread(target=lambda: outcome.append(_outcome_of(call)))
+
+    def trace(sql):
+        if marker in sql and thread.ident is None:
+            thread.start()
+            thread.join(0.5)
+
+    store._conn.set_trace_callback(trace)
+    return thread, outcome
+
+
+def _outcome_of(call):
+    try:
+        return call()
+    except Exception as exc:
+        return exc
+
+
+def test_a_delete_cannot_tear_a_read(tmp_path, store, sytherm3, annex_record):
+    """A delete from a second connection, started between get_measurement's
+    first and second statement, takes effect only after the read ends: the
+    read gives the whole record back."""
+    store.put_equipment(sytherm3)
+    msr = store.put_measurement(annex_record)
+
+    def delete():
+        with init_schema(tmp_path / "store.db") as other:
+            other.delete_measurement(msr)
+        return "deleted"
+
+    thread, outcome = _run_during(store, "FROM t_prm_parameters", delete)
+    got = store.get_measurement(msr)
+    store._conn.set_trace_callback(None)
+    thread.join(30)
+    assert outcome == ["deleted"]
+    assert dataclasses.replace(got, record_id=None) == annex_record
+    with pytest.raises(NotFound):
+        store.get_measurement(msr)
+
+
+def test_a_remove_waits_for_a_put_and_is_then_refused(tmp_path, store, sytherm3, annex_record):
+    """A remove_equipment from a second connection, started while
+    put_measurement reads the model, waits for the put to commit; the model
+    then has a measurement, so the remove is refused."""
+    store.put_equipment(sytherm3)
+
+    def remove():
+        with init_schema(tmp_path / "store.db") as other:
+            other.remove_equipment("SYTHERM")
+
+    thread, outcome = _run_during(store, "FROM t_prm_parameters", remove)
+    msr = store.put_measurement(annex_record)
+    store._conn.set_trace_callback(None)
+    thread.join(30)
+    assert [type(error) for error in outcome] == [ForeignKeyViolation]
+    assert str(outcome[0]) == "SYTHERM has measurements"
+    assert store.list_equipment() == ["SYTHERM"]
+    assert dataclasses.replace(store.get_measurement(msr), record_id=None) == annex_record
+
+
+# a worker process: it says "ready", then imports the fixture into the store
+# at argv[1], opening the store for each import as a CLI command does, as
+# many times as the line it reads says
+_IMPORTER = """
+import sys
+from lvmforge import import_file, init_schema
+print("ready", flush=True)
+for line in sys.stdin:
+    for _ in range(int(line)):
+        with init_schema(sys.argv[1]) as store:
+            import_file(sys.argv[2], "SYTHERM", None, store)
+    print("ok", flush=True)
+"""
+
+
+def test_concurrent_importers_keep_the_store_whole(tmp_path, sytherm3):
+    """P processes each import the Annex-1 fixture K times into one store
+    at once: every import lands, and the store passes SQLite's integrity
+    and foreign-key checks."""
+    processes, times = 4, 5
+    path = tmp_path / "store.db"
+    with init_schema(path) as store:
+        store.put_equipment(sytherm3)
+        store.put_procedure(ParsingProcedure("LVM_PARSING", LVM_HANDLER_ID))
+        store.put_binding(ParsingBinding("SYTHERM", "LVM_PARSING", "lvm"))
+    workers = _workers(_IMPORTER, path, ANNEX1_PATH, count=processes)
+    try:
+        assert _release(workers, str(times)) == ["ok"] * processes
+    finally:
+        _stop(workers)
+    with init_schema(path) as store:
+        assert store._conn.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
+        assert store._conn.execute("PRAGMA foreign_key_check").fetchall() == []
+        assert count(store, "t_msr_measurements") == processes * times
+        assert count(store, "t_ser_series") == processes * times * 48
