@@ -152,6 +152,11 @@ _INSERT_POINT = _SERIES_COLUMNS + " VALUES (?,?,?,?,?)"
 _INSERT_BATCH = _SERIES_COLUMNS + " VALUES " + ",".join(
     f"(?1,?2,?3+{j},?{4 + 2 * j},?{5 + 2 * j})" for j in range(_BATCH))
 
+# a model's t_eqp_equipments row, read without constructing the model
+_EQUIPMENT = ("SELECT eqp_number, eqp_name, eqp_producer, eqp_description, eqp_webpage,"
+              " eqp_picture, eqp_visualmodel, eqp_extensions, eqp_ignoredkeys"
+              " FROM t_eqp_equipments WHERE eqp_name = ?")
+
 # Store.remove_equipment's statements, children first
 _REMOVE_EQUIPMENT = (
     "DELETE FROM t_efe_equipmentfileextension WHERE eqp_number = ?",
@@ -312,20 +317,30 @@ class Store:
                     self._conn.execute("ROLLBACK")
                 raise
 
+    def _equipment_row(self, name: str) -> tuple:
+        """The model's _EQUIPMENT row; UnknownEquipment if the store has none."""
+        row = self._conn.execute(_EQUIPMENT, (name,)).fetchone()
+        if row is None:
+            raise UnknownEquipment(name)
+        return row
+
     # -- equipments ---------------------------------------------------------
 
     def put_equipment(self, model: EquipmentModel) -> int:
-        """Insert the model and all its parameter rows; returns eqp_number."""
+        """Insert the model and all its parameter rows; returns eqp_number.
+        DuplicateKey if the name is taken."""
         with self._transaction() as conn:
-            cur = conn.execute(
-                "INSERT INTO t_eqp_equipments (eqp_name, eqp_producer,"
-                " eqp_description, eqp_webpage, eqp_picture, eqp_visualmodel,"
-                " eqp_extensions, eqp_ignoredkeys) VALUES (?,?,?,?,?,?,?,?)",
-                (model.name, model.producer, model.description, model.webpage,
-                 model.picture, model.visual_model,
-                 " ".join(sorted(model.extensions)),
-                 " ".join(sorted(model.ignored_file_keys))))
-            eqp = cur.lastrowid
+            try:
+                eqp = conn.execute(
+                    "INSERT INTO t_eqp_equipments (eqp_name, eqp_producer,"
+                    " eqp_description, eqp_webpage, eqp_picture, eqp_visualmodel,"
+                    " eqp_extensions, eqp_ignoredkeys) VALUES (?,?,?,?,?,?,?,?)",
+                    (model.name, model.producer, model.description, model.webpage,
+                     model.picture, model.visual_model,
+                     " ".join(sorted(model.extensions)),
+                     " ".join(sorted(model.ignored_file_keys)))).lastrowid
+            except sqlite3.IntegrityError:  # UNIQUE (eqp_name)
+                raise DuplicateKey(f"model {model.name} exists") from None
             for p in model.parameters:
                 conn.execute(
                     "INSERT INTO t_prm_parameters (eqp_number, prm_name,"
@@ -337,13 +352,7 @@ class Store:
 
     def get_equipment(self, name: str) -> EquipmentModel:
         with self._transaction("BEGIN"):
-            row = self._conn.execute(
-                "SELECT eqp_number, eqp_name, eqp_producer, eqp_description,"
-                " eqp_webpage, eqp_picture, eqp_visualmodel, eqp_extensions,"
-                " eqp_ignoredkeys FROM t_eqp_equipments WHERE eqp_name = ?",
-                (name,)).fetchone()
-            if row is None:
-                raise UnknownEquipment(name)
+            row = self._equipment_row(name)
             params = tuple(d for _, d in self._parameter_ids(row[0]).values())
         return EquipmentModel(
             name=row[1], producer=row[2], description=row[3], webpage=row[4],
@@ -364,13 +373,10 @@ class Store:
         ForeignKeyViolation while a measurement uses the model.
         """
         with self._transaction() as conn:
-            row = conn.execute("SELECT eqp_number FROM t_eqp_equipments WHERE eqp_name = ?",
-                               (name,)).fetchone()
-            if row is None:
-                raise UnknownEquipment(name)
+            eqp = self._equipment_row(name)[:1]
             try:
                 for statement in _REMOVE_EQUIPMENT:
-                    conn.execute(statement, row)
+                    conn.execute(statement, eqp)
             except sqlite3.IntegrityError:  # a measurement references the model
                 raise ForeignKeyViolation(f"{name} has measurements") from None
 
@@ -424,16 +430,12 @@ class Store:
         equipment's model declares the extension, and DuplicateBinding when
         (equipment, extension) is bound already."""
         with self._transaction() as conn:
-            row = conn.execute(
-                "SELECT eqp_number, eqp_extensions FROM t_eqp_equipments WHERE eqp_name = ?",
-                (binding.equipment_name,)).fetchone()
-            if row is None:
-                raise UnknownEquipment(binding.equipment_name)
+            row = self._equipment_row(binding.equipment_name)
             psf = conn.execute("SELECT psf_number FROM t_psf_parsingfunction WHERE psf_name = ?",
                                (binding.procedure_name,)).fetchone()
             if psf is None:
                 raise UnknownProcedure(binding.procedure_name)
-            if binding.extension not in row[1].split():
+            if binding.extension not in row[7].split():
                 raise ExtensionNotDeclared(
                     f"{binding.equipment_name} does not declare .{binding.extension}")
             try:
@@ -477,11 +479,8 @@ class Store:
 
     def put_measurement(self, record: MeasurementRecord) -> int:
         with self._transaction() as conn:
-            eqp = conn.execute("SELECT eqp_number FROM t_eqp_equipments WHERE eqp_name = ?",
-                               (record.equipment_name,)).fetchone()
-            if eqp is None:
-                raise UnknownEquipment(record.equipment_name)
-            params = self._parameter_ids(eqp[0])
+            eqp = self._equipment_row(record.equipment_name)[0]
+            params = self._parameter_ids(eqp)
 
             def describe(sides: dict) -> str:
                 return ", ".join(f"{key} {getattr(value, 'value', value)}"
@@ -515,7 +514,7 @@ class Store:
             msr = conn.execute(
                 "INSERT INTO t_msr_measurements (eqp_number, msr_imported_at,"
                 " msr_sourcefile, msr_warnings, msr_aux, msr_series) VALUES (?,?,?,?,?,?)",
-                (eqp[0], record.imported_at.isoformat(), record.source_file,
+                (eqp, record.imported_at.isoformat(), record.source_file,
                  json.dumps(record.warnings), json.dumps(record.aux),
                  json.dumps(series))).lastrowid
             conn.executemany(

@@ -209,6 +209,17 @@ def test_model_remove_refuses_a_model_with_records(cli_with_sytherm, tmp_path):
     assert _table_counts(tmp_path / "store.db") == before
 
 
+def test_adding_a_taken_model_name_is_one_error_line_naming_the_model(cli_with_sytherm,
+                                                                        tmp_path):
+    import_annex(cli_with_sytherm)
+    before = _table_counts(tmp_path / "store.db")
+    for argv in (("model", "sytherm"), ("model", "sytherm", "--channels", "1")):
+        captured = cli_with_sytherm(*argv, expect=1)
+        assert (captured.out, captured.err.splitlines()) == (
+            "", ["ERROR DuplicateKey: model SYTHERM exists"]), argv
+        assert _table_counts(tmp_path / "store.db") == before, argv
+
+
 def test_gen_import_analyze_tau(cli_with_sytherm, tmp_path):
     gen_path = tmp_path / "synth.lvm"
     cli_with_sytherm("gen", "--tau", "15", "--y0", "100", "--yinf", "20",

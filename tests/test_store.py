@@ -144,6 +144,19 @@ def test_put_equipment_duplicate(store, sytherm3):
         store.put_equipment(sytherm3)
 
 
+def test_put_equipment_refuses_a_taken_name_naming_the_model(store, sytherm3):
+    """Whatever the second model declares, the name alone refuses it, and
+    the error names the model as DuplicateProcedure and DuplicateBinding
+    name theirs; no table changes."""
+    store.put_equipment(sytherm3)
+    before = {t: count(store, t) for t in EXPECTED_TABLES}
+    for model in (sytherm3, builtin_sytherm(1), EquipmentModel("SYTHERM")):
+        with pytest.raises(DuplicateKey, match="^model SYTHERM exists$"):
+            store.put_equipment(model)
+        assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+    assert store.get_equipment("SYTHERM") == sytherm3
+
+
 def test_equipment_roundtrip(store, sytherm3):
     store.put_equipment(sytherm3)
     assert store.get_equipment("SYTHERM") == sytherm3
