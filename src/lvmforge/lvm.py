@@ -164,7 +164,7 @@ def _real_pattern(ds: str) -> re.Pattern:
 
 
 def _time_pattern(ds: str) -> re.Pattern:
-    return re.compile(rf"(\d{{1,2}}):(\d{{1,2}}):(\d{{1,2}})(?:[{re.escape(ds)}](\d+))?",
+    return re.compile(rf"([01]?\d|2[0-3]):([0-5]?\d):([0-5]?\d|60)(?:[{re.escape(ds)}](\d+))?",
                       re.ASCII)
 
 
@@ -206,8 +206,8 @@ def read_date(text: str) -> Optional[Date]:
 
 
 def read_time(text: str, ds: str = ".") -> Optional[HighPrecisionTime]:
-    """HH:MM:SS with optional fraction digits after ds; raises
-    InvariantViolation when the text fits the grammar but is out of range."""
+    """HH:MM:SS with optional fraction digits after ds, naming a time on
+    the clock: None for hours over 23, minutes over 59 or seconds over 60."""
     m = _TIME_PATTERNS[ds].fullmatch(text)
     if not m:
         return None
@@ -340,12 +340,8 @@ _GRAMMAR_NAMES = {read_real: "a number under {!r}", read_int: "an integer",
 
 
 def _field(read, text: str, line_no: int, col: int, *ds: str):
-    """read(text, *ds), or MalformedNumber(line_no, col) when the reader
-    rejects the text or (for a time) finds it out of range."""
-    try:
-        value = read(text, *ds)
-    except InvariantViolation:
-        raise MalformedNumber(line_no, col, f"time out of range: {text!r}") from None
+    """read(text, *ds), or MalformedNumber(line_no, col) if read rejects text."""
+    value = read(text, *ds)
     if value is None:
         raise MalformedNumber(line_no, col,
                               f"not {_GRAMMAR_NAMES[read].format(*ds)}: {text!r}")

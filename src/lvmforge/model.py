@@ -235,10 +235,7 @@ def validate_value(definition: ParameterDefinition, raw: str) -> TypedScalar:
         expected = f"one of {', '.join(definition.enum_domain)}"
     else:
         read, _, expected = _GRAMMARS[definition.value_type]
-        try:
-            value = read(raw)
-        except InvariantViolation:  # a time inside the grammar but out of range
-            raise TypeMismatch(definition.name, raw, "time out of range") from None
+        value = read(raw)
     if value is None:
         raise TypeMismatch(definition.name, raw, f"expected {expected}")
     return value

@@ -220,6 +220,14 @@ def test_adding_a_taken_model_name_is_one_error_line_naming_the_model(cli_with_s
         assert _table_counts(tmp_path / "store.db") == before, argv
 
 
+def test_edit_refuses_a_time_off_the_clock(cli_with_sytherm):
+    record_id = import_annex(cli_with_sytherm)
+    captured = cli_with_sytherm("edit", record_id, "Time", "24:00:00", expect=1)
+    assert captured.err.splitlines() == [
+        "ERROR TypeMismatch: parameter 'Time' rejects '24:00:00': expected HH:MM:SS[.fff]"]
+    assert "Time = 17:49:40.8399038314819335937" in cli_with_sytherm("show", record_id).out
+
+
 def test_gen_import_analyze_tau(cli_with_sytherm, tmp_path):
     gen_path = tmp_path / "synth.lvm"
     cli_with_sytherm("gen", "--tau", "15", "--y0", "100", "--yinf", "20",

@@ -180,6 +180,19 @@ def test_grammars_take_only_ascii_digits():
         assert (info.value.line, info.value.column) == (line, column)
 
 
+def test_a_time_off_the_clock_is_outside_the_grammar():
+    # as read_date gives None for Feb 30, read_time does for hours over 23,
+    # minutes over 59 and seconds over 60 (60 is a leap second)
+    for text in ("24:00:00", "23:60:00", "23:59:61", "99:99:99", "24:00:00.5"):
+        assert lvm.read_time(text, lvm.ANY_DECIMAL) is None, text
+    assert lvm.read_time("23:59:60") == HighPrecisionTime(23, 59, 60)
+    assert lvm.read_time("7:5:3") == HighPrecisionTime(7, 5, 3)
+    text = MINIMAL.replace("Decimal_Separator\t.\n", "Decimal_Separator\t.\nTime\t24:00:00\n")
+    with pytest.raises(MalformedNumber,
+                       match=r"^line 4, field 2: not a HH:MM:SS time: '24:00:00'$"):
+        parse_lvm(text)
+
+
 def _strptime_date(text):
     """read_date's reference: strptime's reading of "%Y/%m/%d", ASCII only."""
     try:
