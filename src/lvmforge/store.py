@@ -30,11 +30,17 @@ SQLite failure, at open time or later, surfaces as a
 :class:`~lvmforge.errors.StorageError` (see _sqlite_errors).
 
 Each Store call is one transaction: the connection is in autocommit mode
-and Store._transaction alone sends BEGIN, COMMIT and ROLLBACK.  Writes and
-init_schema begin IMMEDIATE, taking SQLite's one write lock before their
-first read, so concurrent writers queue on the busy timeout; get_equipment
-and get_measurement begin deferred, so their statements read one state; a
-one-statement read runs alone.  Any error rolls the whole call back.
+and Store._transaction alone sends BEGIN, COMMIT and ROLLBACK.  A call
+takes SQLite's one write lock only when it may write: writes begin
+IMMEDIATE, taking the lock before their first read, so concurrent writers
+queue on the busy timeout; get_equipment and get_measurement begin
+deferred, so their statements read one state; a one-statement read runs
+alone.  init_schema reads the version alone and begins IMMEDIATE only to
+create, migrate or refuse a store, so opening a current store waits for
+no writer that holds the lock.  Any error rolls the whole call back.
+A reader still waits, up to the busy timeout, while a writer holds the
+PENDING or EXCLUSIVE lock: during its commit, or after a large put
+spills its page cache to the file.
 """
 
 from __future__ import annotations
@@ -213,15 +219,19 @@ class RecordSummary:
 def init_schema(storage_path) -> "Store":
     """Open (creating if necessary) the store at the given path.
 
-    Idempotent: re-initializing an existing valid store is a no-op.  A new
-    store is created, and a version-1 store migrated (see _migrate_v1), in
-    one transaction; any other schema version raises SchemaVersionMismatch.
+    Idempotent: opening a store at SCHEMA_VERSION reads its version and
+    nothing else.  Otherwise the version is read again in one IMMEDIATE
+    transaction: a new store is created there, and a version-1 store
+    migrated (see _migrate_v1); any other version raises
+    SchemaVersionMismatch.
     """
     with _sqlite_errors(storage_path):
         store = Store(sqlite3.connect(str(storage_path), isolation_level=None), storage_path)
         try:
             store._conn.execute("PRAGMA foreign_keys = ON")  # a no-op inside a transaction
-            with store._transaction() as conn:
+            if store._conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION:
+                return store  # a current store: one read, no write lock
+            with store._transaction() as conn:  # read again under the lock
                 version = conn.execute("PRAGMA user_version").fetchone()[0]
                 if version == 0:
                     tables = "SELECT count(*) FROM sqlite_master WHERE type = 'table'"

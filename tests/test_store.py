@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from datetime import date, datetime
 
 import pytest
@@ -35,6 +36,7 @@ from lvmforge import (
     parse_lvm,
     render_canonical,
 )
+from lvmforge import cli
 from lvmforge.errors import (
     DuplicateBinding,
     DuplicateKey,
@@ -1076,6 +1078,48 @@ def test_concurrent_first_opens_of_one_path_all_succeed(tmp_path):
                 assert table_names(store) == EXPECTED_TABLES
     finally:
         _stop(workers)
+
+
+def test_opening_a_current_store_reads_its_version_and_begins_nothing(tmp_path,
+                                                                     monkeypatch):
+    """Only creating, migrating or refusing a store takes the write lock."""
+    path = tmp_path / "store.db"
+    init_schema(path).close()
+    sent = []
+    connect = sqlite3.connect
+
+    def tracing_connect(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        conn.set_trace_callback(sent.append)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", tracing_connect)
+    init_schema(path).close()
+    assert sent == ["PRAGMA foreign_keys = ON", "PRAGMA user_version"]
+
+
+def test_opens_and_reads_pass_a_writer_holding_the_write_lock(tmp_path, sytherm3,
+                                                               annex_record, capsys):
+    """A second connection holds BEGIN IMMEDIATE: opening the store, the
+    reads and `lvmforge list` answer at once, not after the busy timeout."""
+    path = tmp_path / "store.db"
+    with init_schema(path) as store:
+        store.put_equipment(sytherm3)
+        msr = store.put_measurement(annex_record)
+    writer = sqlite3.connect(path, isolation_level=None)
+    writer.execute("BEGIN IMMEDIATE")
+    try:
+        start = time.monotonic()
+        with init_schema(path) as store:
+            assert store.list_equipment() == ["SYTHERM"]
+            assert [summary.record_id for summary in store.query()] == [msr]
+            assert dataclasses.replace(store.get_measurement(msr), record_id=None) == \
+                annex_record
+        assert cli.run(["--store", str(path), "list"]) == 0
+        assert time.monotonic() - start < 1.0
+    finally:
+        writer.close()
+    assert len(capsys.readouterr().out.splitlines()) == 1
 
 
 def test_a_creation_that_fails_partway_leaves_no_table(tmp_path, monkeypatch):
