@@ -111,15 +111,22 @@ def _series_columns(record: MeasurementRecord) -> list[list[str]]:
     """The series block's cells column-wise, each number formatted once: the
     x column, then one y column per channel.  When every channel has the same
     abscissae, the y columns hold the points in order, so a repeated x keeps
-    each of its samples.  Otherwise x runs over the ordered union of the
-    abscissae, and a channel's cell holds its last y at that x, or nothing."""
+    each of its samples.  Otherwise a channel's k-th sample at x is keyed
+    (x, k), there is one row per key of any channel, in increasing (x, k)
+    order, and a channel's cell holds its sample with the row's key, or
+    nothing.  So every sample is written once, and the samples of a file
+    whose x never decreases keep their row order."""
     xs = [x for x, _ in record.series[0].points]
     if all([x for x, _ in s.points] == xs for s in record.series[1:]):
         return [[FIXED6 % x for x in xs]] + [[FIXED6 % y for _, y in s.points]
                                              for s in record.series]
-    xs = list(dict.fromkeys(x for series in record.series for x, _ in series.points))
-    columns = [[FIXED6 % x for x in xs]]
+    keyed = []
     for series in record.series:
-        ys = {x: FIXED6 % y for x, y in series.points}
-        columns.append([ys.get(x, "") for x in xs])
-    return columns
+        seen: dict[float, int] = {}
+        keyed.append({})
+        for x, y in series.points:
+            seen[x] = k = seen.get(x, -1) + 1
+            keyed[-1][x, k] = FIXED6 % y
+    keys = sorted(dict.fromkeys(key for cells in keyed for key in cells))
+    return [[FIXED6 % x for x, _ in keys]] + [[cells.get(key, "") for key in keys]
+                                              for cells in keyed]

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import time
 import xml.etree.ElementTree as ET
 from datetime import date, datetime
@@ -27,9 +28,10 @@ from lvmforge.model import render_canonical
 
 
 # Reference renderers: the ElementTree XML writer and the CSV writer that
-# writes channels on one grid row by row, and looks each cell of channels on
-# different grids up in a freshly built x -> y map.  Slow, but their output
-# is the byte-exact contract of export_xml and export_csv.
+# writes channels on one grid row by row, and for channels on different
+# grids writes one row per (x, k) key in increasing order, looking each cell
+# up as the channel's k-th sample at x by a scan of its points.  Slow, but
+# their output is the byte-exact contract of export_xml and export_csv.
 
 def reference_xml(record):
     root = ET.Element("measurement", {
@@ -75,15 +77,17 @@ def reference_csv(record):
             for i, x in enumerate(xs):
                 writer.writerow([f"{x:.6f}"] + [f"{s.points[i][1]:.6f}" for s in record.series])
             return buffer.getvalue().encode("utf-8")
-        merged = {}
+        keys = []
         for series in record.series:
-            for x, _ in series.points:
-                merged.setdefault(x)
-        for x in merged:
+            for i, (x, _) in enumerate(series.points):
+                key = (x, [px for px, _ in series.points[:i]].count(x))
+                if key not in keys:
+                    keys.append(key)
+        for x, k in sorted(keys):
             row = [f"{x:.6f}"]
             for series in record.series:
-                y = dict(series.points).get(x)
-                row.append("" if y is None else f"{y:.6f}")
+                ys = [y for px, y in series.points if px == x]
+                row.append(f"{ys[k]:.6f}" if k < len(ys) else "")
             writer.writerow(row)
     return buffer.getvalue().encode("utf-8")
 
@@ -225,6 +229,78 @@ def test_csv_keeps_every_sample_at_a_repeated_abscissa():
     assert lines[lines.index("X_Value,Channel_0") + 1:] == [
         "0.000000,20.500000", "1.000000,21.500000", "1.000000,22.500000", "2.000000,23.500000"]
     assert len(ET.fromstring(export_xml(record)).findall("series/point")) == 4
+
+
+def _series_rows(text):
+    """The series block of export_csv's text, one list of cells per row."""
+    rows = list(csv.reader(io.StringIO(text)))
+    return rows[rows.index([]) + 2:]
+
+
+def _two_channel_record(rows):
+    text = ("LabVIEW Measurement\nSeparator\tTab\nDecimal_Separator\t.\n***End_of_Header***\n"
+            "Channels\t2\n***End_of_Header***\nX_Value\tChannel 0\tChannel 1\n" + rows)
+    return map_lvm_to_record(parse_lvm(text), builtin_sytherm(2),
+                             imported_at=datetime(2024, 1, 1))
+
+
+@pytest.mark.parametrize("rows, series_rows", [
+    ("0\t1\t5\n1\t\t6\n2\t3\t7\n",
+     [["0.000000", "1.000000", "5.000000"], ["1.000000", "", "6.000000"],
+      ["2.000000", "3.000000", "7.000000"]]),
+    ("0\t1\t5\n0\t2\t\n1\t3\t6\n",
+     [["0.000000", "1.000000", "5.000000"], ["0.000000", "2.000000", ""],
+      ["1.000000", "3.000000", "6.000000"]]),
+], ids=["a-gap-in-the-middle", "a-gap-at-a-repeated-abscissa"])
+def test_csv_of_channels_on_different_grids_keeps_every_sample_in_row_order(rows,
+                                                                             series_rows):
+    record = _two_channel_record(rows)
+    assert _series_rows(export_csv(record).decode()) == series_rows
+    assert len(ET.fromstring(export_xml(record)).findall("series/point")) == 5
+
+
+@st.composite
+def gapped_documents(draw):
+    """(.lvm text, channels, data rows) of 1-4 channels: x non-decreasing
+    from a small pool, so that it repeats, and about one sample in ten empty
+    (None)."""
+    channels = draw(st.integers(1, 4))
+    xs = sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0]), max_size=10)))
+    samples = st.integers(0, 9).flatmap(
+        lambda n: st.none() if n == 0 else st.integers(-10**6, 10**6).map(lambda i: i / 1000))
+    rows = [(x, draw(st.lists(samples, min_size=channels, max_size=channels))) for x in xs]
+    names = "\t".join(f"Channel {c}" for c in range(channels))
+    text = ("LabVIEW Measurement\nSeparator\tTab\nDecimal_Separator\t.\n***End_of_Header***\n"
+            f"Channels\t{channels}\n***End_of_Header***\nX_Value\t{names}\n"
+            + "".join("\t".join([repr(x), *("" if y is None else repr(y) for y in ys)]) + "\n"
+                      for x, ys in rows))
+    return text, channels, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(gapped_documents())
+def test_csv_writes_a_parsed_file_s_samples_once_each_in_row_order(document):
+    """Each channel's column holds exactly its samples, in order, and the
+    series rows are the file's rows that hold a sample, in order, with the
+    rows at one x packed: a channel's k-th sample at x is on the k-th row at
+    x.  So the rows are the file's own wherever a channel's empty samples at
+    an x follow its samples there; rows "0 1 _" and "0 _ 2" make the same
+    record as one row "0 1 2", so no export can tell them apart."""
+    text, channels, rows = document
+    record = map_lvm_to_record(parse_lvm(text), builtin_sytherm(channels),
+                               imported_at=datetime(2024, 1, 1))
+    got = _series_rows(export_csv(record).decode())
+    for c in range(channels):
+        assert [row[c + 1] for row in got if row[c + 1]] == \
+            [f"{ys[c]:.6f}" for _, ys in rows if ys[c] is not None]
+    packed = []
+    for x, run in itertools.groupby(rows, key=lambda row: row[0]):
+        run = [ys for _, ys in run]
+        columns = [[ys[c] for ys in run if ys[c] is not None] for c in range(channels)]
+        for k in range(max(map(len, columns))):
+            packed.append([f"{x:.6f}"] + [f"{column[k]:.6f}" if k < len(column) else ""
+                                          for column in columns])
+    assert got == packed
 
 
 def test_csv_quoting():
