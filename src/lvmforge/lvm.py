@@ -21,11 +21,11 @@ field through ``read_real``.  Every field the parser rejects, in a header
 or a data row, is rejected by ``_field``, which names its line and field.
 
 This module is the one owner of how a value is written as text and read
-back: the real, integer, boolean, date and time grammars (``read_*``, ASCII
-digits only), the renderers (``format_*``) and the file- and segment-header
-field lists.  The parser and serializer here, the equipment model's
-``validate_value`` and ``render_canonical``, the importer and the exporters
-all use them.
+back: the real, integer, boolean, date, time and text grammars
+(``read_*``, ASCII digits only), the renderers (``format_*``) and the file-
+and segment-header field lists.  The parser and serializer here, the
+equipment model's ``validate_value`` and ``render_canonical``, the importer
+and the exporters all use them.
 
 Each header line is declared once, in canonical order, as one row of
 ``_FILE_LINES`` or ``_SEGMENT_LINES``: its key, the dataclass field it
@@ -219,6 +219,11 @@ def read_text(text: str) -> Optional[str]:
     """Text that UTF-8 can encode: no lone surrogate, which is what an
     undecodable byte in a command-line argument or a file name becomes."""
     return None if _SURROGATE.search(text) else text
+
+
+def read_line(text: str) -> Optional[str]:
+    """read_text's text on one line: no "\\n" or "\\r"."""
+    return None if "\n" in text or "\r" in text else read_text(text)
 
 
 # printf-style spec of the fixed-6 rendering, for callers that write many

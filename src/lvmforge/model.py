@@ -37,7 +37,7 @@ from .lvm import (
     read_date,
     read_int,
     read_real,
-    read_text,
+    read_line,
     read_time,
 )
 
@@ -218,7 +218,7 @@ _GRAMMARS = {
     ValueType.BOOLEAN: (read_bool, format_bool, "Yes/No/true/false"),
     ValueType.DATE: (read_date, format_date, "YYYY/MM/DD"),
     ValueType.TIME: (partial(read_time, ds=ANY_DECIMAL), HighPrecisionTime.render, "HH:MM:SS[.fff]"),
-    ValueType.STRING: (read_text, str, "UTF-8 text"),
+    ValueType.STRING: (read_line, str, "one line of UTF-8 text"),
 }
 
 
@@ -227,8 +227,9 @@ def validate_value(definition: ParameterDefinition, raw: str) -> TypedScalar:
 
     Reals accept either "." or "," as decimal separator, booleans accept
     the .lvm Yes/No convention alongside true/false, dates are YYYY/MM/DD
-    and times HH:MM:SS with an optional fractional part, strings any text
-    UTF-8 can encode.  The grammars are those of :mod:`lvmforge.lvm`.
+    and times HH:MM:SS with an optional fractional part, strings one line
+    of UTF-8 text (no "\\n" or "\\r", no lone surrogate).  The grammars are
+    those of :mod:`lvmforge.lvm`.
     """
     if definition.value_type is ValueType.ENUMERATION:
         value = raw if raw in definition.enum_domain else None

@@ -228,6 +228,22 @@ def test_edit_refuses_a_time_off_the_clock(cli_with_sytherm):
     assert "Time = 17:49:40.8399038314819335937" in cli_with_sytherm("show", record_id).out
 
 
+def test_edit_refuses_a_string_of_more_than_one_line(cli_with_sytherm, tmp_path):
+    """Output is line oriented: a String value holds no line break, so
+    list prints one line per record."""
+    import_annex(cli_with_sytherm)
+    record_id = import_annex(cli_with_sytherm)
+    before = _table_counts(tmp_path / "store.db")
+    for text in ("a\nb", "a\rb", "a\r\n"):
+        captured = cli_with_sytherm("edit", record_id, "Operator", text, expect=1)
+        assert (captured.out, captured.err.splitlines()) == ("", [
+            f"ERROR TypeMismatch: parameter 'Operator' rejects {text!r}:"
+            " expected one line of UTF-8 text"]), text
+        assert _table_counts(tmp_path / "store.db") == before, text
+    assert "Operator = Profesor" in cli_with_sytherm("show", record_id).out
+    assert len(cli_with_sytherm("list").out.splitlines()) == 2
+
+
 def test_gen_import_analyze_tau(cli_with_sytherm, tmp_path):
     gen_path = tmp_path / "synth.lvm"
     cli_with_sytherm("gen", "--tau", "15", "--y0", "100", "--yinf", "20",

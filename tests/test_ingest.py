@@ -1,4 +1,5 @@
 import random
+import re
 from datetime import date, datetime
 
 import pytest
@@ -25,6 +26,7 @@ from lvmforge.errors import (
     ExtensionNotDeclared,
     InvariantViolation,
     NoBinding,
+    TypeMismatch,
     UnknownEquipment,
     UnknownHandler,
     UnknownProcedure,
@@ -196,6 +198,16 @@ def test_map_refuses_a_document_without_segments(sytherm3):
 def test_map_channel_count_mismatch(annex1_doc):
     with pytest.raises(ChannelCountMismatch):
         map_lvm_to_record(annex1_doc, builtin_sytherm(2))
+
+
+def test_map_refuses_a_string_value_holding_a_carriage_return(annex1_bytes, sytherm3):
+    """The parser splits lines on "\\n" only, so a lone "\\r" reaches the
+    String grammar, which takes one line of text."""
+    doc = parse_lvm(annex1_bytes.replace(b"Operator\tProfesor", b"Operator\tPro\rfesor", 1))
+    assert doc.header.operator == "Pro\rfesor"
+    with pytest.raises(TypeMismatch, match=re.escape(
+            "parameter 'Operator' rejects 'Pro\\rfesor': expected one line of UTF-8 text")):
+        map_lvm_to_record(doc, sytherm3)
 
 
 def test_map_file_header_date_wins(annex1_bytes, sytherm3):

@@ -373,6 +373,18 @@ def test_put_measurement_rejects_a_value_its_grammar_does_not_read_back(
         assert {t: count(store, t) for t in EXPECTED_TABLES} == before
 
 
+@pytest.mark.parametrize("text", ["a\nb", "a\rb", "\n"])
+def test_put_measurement_refuses_a_string_of_more_than_one_line(store, sytherm3,
+                                                                annex_record, text):
+    store.put_equipment(sytherm3)
+    before = {t: count(store, t) for t in EXPECTED_TABLES}
+    annex_record.set_value(ConceptCategory.MEASUREMENT_INFORMATION, "Operator",
+                           TypedValue(text, ValueType.STRING))
+    with pytest.raises(TypeMismatch, match="expected one line of UTF-8 text"):
+        store.put_measurement(annex_record)
+    assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+
+
 @pytest.mark.parametrize("bad", [
     float("nan"), float("inf"), float("-inf"), "23.4",
     # REAL affinity rounds it to 2**53; SQLite cannot bind it; float() overflows
