@@ -237,13 +237,6 @@ def _series_rows(text):
     return rows[rows.index([]) + 2:]
 
 
-def _two_channel_record(rows):
-    text = ("LabVIEW Measurement\nSeparator\tTab\nDecimal_Separator\t.\n***End_of_Header***\n"
-            "Channels\t2\n***End_of_Header***\nX_Value\tChannel 0\tChannel 1\n" + rows)
-    return map_lvm_to_record(parse_lvm(text), builtin_sytherm(2),
-                             imported_at=datetime(2024, 1, 1))
-
-
 @pytest.mark.parametrize("rows, series_rows", [
     ("0\t1\t5\n1\t\t6\n2\t3\t7\n",
      [["0.000000", "1.000000", "5.000000"], ["1.000000", "", "6.000000"],
@@ -254,7 +247,10 @@ def _two_channel_record(rows):
 ], ids=["a-gap-in-the-middle", "a-gap-at-a-repeated-abscissa"])
 def test_csv_of_channels_on_different_grids_keeps_every_sample_in_row_order(rows,
                                                                              series_rows):
-    record = _two_channel_record(rows)
+    text = ("LabVIEW Measurement\nSeparator\tTab\nDecimal_Separator\t.\n***End_of_Header***\n"
+            "Channels\t2\n***End_of_Header***\nX_Value\tChannel 0\tChannel 1\n" + rows)
+    record = map_lvm_to_record(parse_lvm(text), builtin_sytherm(2),
+                               imported_at=datetime(2024, 1, 1))
     assert _series_rows(export_csv(record).decode()) == series_rows
     assert len(ET.fromstring(export_xml(record)).findall("series/point")) == 5
 
