@@ -49,10 +49,12 @@ segment = doc.segments[0]
 print("channels:", segment.channels)
 print("columns: ", segment.column_names)
 print("notes:   ", segment.notes)
-print("rows:    ", len(segment.rows))
+# the data block is held by column: x, then one column per channel
+print("rows:    ", len(segment.x))
+print("x:       ", segment.x)
 
-# channel_series pairs each row's x with one channel's value,
-# skipping rows where that channel's field was left empty
+# channel_series gives one channel's (x, y) columns, skipping the rows
+# where that channel's field was left empty
 for k in range(segment.channels):
     print(f"channel {k}:", channel_series(doc, 0, k))
 

@@ -25,7 +25,6 @@ from .ingest import (
     map_lvm_to_record,
 )
 from .lvm import (
-    DataRow,
     HighPrecisionTime,
     LvmDocument,
     LvmFileHeader,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelSeries",
     "ConceptCategory",
-    "DataRow",
     "EquipmentModel",
     "HighPrecisionTime",
     "LvmDocument",

@@ -29,7 +29,6 @@ from .errors import (
     NoCrossing,
 )
 from .lvm import (
-    DataRow,
     HighPrecisionTime,
     LvmDocument,
     LvmFileHeader,
@@ -217,9 +216,7 @@ def gen_lvm(responses: Sequence[StepResponse], operator: str = "",
         x0=[grid[0]] * n,
         delta_x=[grid[1] - grid[0]] * n,
         column_names=["X_Value"] + [f"Channel {k}" for k in range(n)] + ["Comment"],
-        rows=[
-            DataRow(x=t, values=tuple(r.samples[i][1] for r in responses))
-            for i, t in enumerate(grid)
-        ],
+        x=grid,
+        columns=[[y for _, y in r.samples] for r in responses],
     )
     return LvmDocument(header=header, segments=[segment])

@@ -281,7 +281,7 @@ def _cmd_show(args, store) -> None:
             print(f"  {name} = {render_canonical(typed)}")
     for series in record.series:
         unit = f" ({series.unit})" if series.unit else ""
-        print(f"series {series.name}{unit}: {len(series.points)} points")
+        print(f"series {series.name}{unit}: {len(series.x)} points")
     for warning in record.warnings:
         print(f"warning: {warning}")
 
@@ -302,24 +302,23 @@ def _cmd_export(args, store) -> None:
     print(args.out)
 
 
-def _series_points(store, record_id, channel):
+def _series(store, record_id, channel):
     record = store.get_measurement(record_id)
     if not 0 <= channel < len(record.series):
         raise IndexOutOfRange(f"channel {channel} of {len(record.series)}")
-    return record.series[channel].points
+    return record.series[channel]
 
 
 def _cmd_analyze_nonlin(args, store) -> None:
-    points = _series_points(store, args.id, args.channel)
     data = analysis.NonLinearityInput(
-        t_real=tuple(y for _, y in points), t_ref=args.refs, t_ref30=args.tref30)
+        t_real=_series(store, args.id, args.channel).y, t_ref=args.refs, t_ref30=args.tref30)
     for eps in analysis.nonlinearity_error(data):
         print(f"{eps:.6f}")
 
 
 def _cmd_analyze_tau(args, store) -> None:
-    points = _series_points(store, args.id, args.channel)
-    response = analysis.step_response_from_series(points)
+    series = _series(store, args.id, args.channel)
+    response = analysis.step_response_from_series(series.points)
     print(f"{analysis.estimate_time_constant(response):.6f}")
 
 

@@ -70,11 +70,11 @@ def export_xml(record: MeasurementRecord) -> bytes:
         if series.unit is not None:
             attrs["unit"] = series.unit
         tag = _start_tag(1, "series", attrs)
-        if not series.points:
+        if not series.x:
             body.append(tag + " />")
             continue
         body.append(tag + ">")
-        body.extend([point % xy for xy in series.points])
+        body.extend([point % xy for xy in zip(series.x, series.y)])
         body.append(_INDENT + "</series>")
     root = _start_tag(0, "measurement", {
         "equipment": record.equipment_name,
@@ -116,15 +116,14 @@ def _series_columns(record: MeasurementRecord) -> list[list[str]]:
     order, and a channel's cell holds its sample with the row's key, or
     nothing.  So every sample is written once, and the samples of a file
     whose x never decreases keep their row order."""
-    xs = [x for x, _ in record.series[0].points]
-    if all([x for x, _ in s.points] == xs for s in record.series[1:]):
-        return [[FIXED6 % x for x in xs]] + [[FIXED6 % y for _, y in s.points]
-                                             for s in record.series]
+    xs = record.series[0].x
+    if all(s.x == xs for s in record.series[1:]):
+        return [[FIXED6 % x for x in xs]] + [[FIXED6 % y for y in s.y] for s in record.series]
     keyed = []
     for series in record.series:
         seen: dict[float, int] = {}
         keyed.append({})
-        for x, y in series.points:
+        for x, y in zip(series.x, series.y):
             seen[x] = k = seen.get(x, -1) + 1
             keyed[-1][x, k] = FIXED6 % y
     keys = sorted(dict.fromkeys(key for cells in keyed for key in cells))

@@ -21,7 +21,7 @@ from datetime import datetime
 from typing import Optional
 
 from .errors import (ChannelCountMismatch, EmptyName, ExtensionNotDeclared, InvariantViolation,
-                     UnknownHandler)
+                     LengthMismatch, UnknownHandler)
 from .lvm import (
     LvmDocument,
     channel_series,
@@ -67,9 +67,26 @@ class ParsingBinding:
 
 @dataclass(frozen=True)
 class ChannelSeries:
+    """One channel's samples as two columns of equal length, abscissae x and
+    values y, each made a tuple on construction (LengthMismatch if their
+    lengths differ).  Series compare their columns as tuples of floats do:
+    -0.0 == 0.0, and a NaN sample equals only that same float object."""
+
     name: str
     unit: Optional[str]
-    points: tuple[tuple[float, float], ...]
+    x: tuple[float, ...]
+    y: tuple[float, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", tuple(self.x))
+        object.__setattr__(self, "y", tuple(self.y))
+        if len(self.x) != len(self.y):
+            raise LengthMismatch(f"series {self.name!r}: {len(self.x)} x, {len(self.y)} y")
+
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        """The (x, y) pairs, built on each read."""
+        return tuple(zip(self.x, self.y))
 
 
 @dataclass
@@ -154,11 +171,8 @@ def map_lvm_to_record(doc: LvmDocument, model: EquipmentModel,
                              make_typed(parameter, texts[parameter.name]))
 
     for k, parameter in enumerate(model.channel_parameters):
-        record.series.append(ChannelSeries(
-            name=parameter.name,
-            unit=parameter.unit,
-            points=tuple(channel_series(doc, 0, k)),
-        ))
+        record.series.append(ChannelSeries(parameter.name, parameter.unit,
+                                           *channel_series(doc, 0, k)))
 
     for index in range(1, len(doc.segments)):
         record.warnings.append(f"segment {index} ignored: only the first segment is imported")

@@ -14,11 +14,11 @@ document level.
 
 The reader walks one list of the input's nonblank lines, each with its
 1-based line number: ``_header_block`` reads the file header and each
-segment header, and one loop reads a segment's data rows, a row at a time,
-so parsing is linear in the input whatever the number of segments.  A row
-of plain numbers takes one ``float()`` per field; any other row reads each
-field through ``read_real``.  Every field the parser rejects, in a header
-or a data row, is rejected by ``_field``, which names its line and field.
+segment header, and a segment's data lines are read in chunks of ``_CHUNK``
+lines, so parsing is linear in the input whatever the number of segments.
+A chunk of plain numbers is converted whole into the segment's x and channel
+columns, any other a row at a time.  Every field the parser rejects, in a
+header or a data row, is rejected by ``_field``, which names its line and field.
 
 This module is the one owner of how a value is written as text and read
 back: the real, integer, boolean, date, time and text grammars
@@ -42,6 +42,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date as Date
 from enum import Enum
+from itertools import compress, repeat
 from typing import Optional, Union
 
 from .errors import (
@@ -88,17 +89,14 @@ class HighPrecisionTime:
     fraction_digits: str = ""
 
     def __post_init__(self):
-        if not (0 <= self.hours <= 23 and 0 <= self.minutes <= 59
-                and 0 <= self.seconds <= 60):
+        if not (0 <= self.hours <= 23 and 0 <= self.minutes <= 59 and 0 <= self.seconds <= 60):
             raise InvariantViolation(f"time out of range: {self}")
         if self.fraction_digits and not re.fullmatch("[0-9]+", self.fraction_digits):
             raise InvariantViolation("fraction_digits must be ASCII decimal digits")
 
     def render(self, decimal_separator: str = ".") -> str:
         base = f"{self.hours:02d}:{self.minutes:02d}:{self.seconds:02d}"
-        if self.fraction_digits:
-            return base + decimal_separator + self.fraction_digits
-        return base
+        return base + decimal_separator + self.fraction_digits if self.fraction_digits else base
 
 
 @dataclass(frozen=True)
@@ -114,13 +112,6 @@ class LvmFileHeader:
     extra_keys: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class DataRow:
-    x: float
-    values: tuple[Optional[float], ...]
-    comment: Optional[str] = None
-
-
 @dataclass
 class LvmSegment:
     channels: int
@@ -132,7 +123,10 @@ class LvmSegment:
     x0: list[float] = field(default_factory=list)
     delta_x: list[float] = field(default_factory=list)
     column_names: list[str] = field(default_factory=list)
-    rows: list[DataRow] = field(default_factory=list)
+    # the data block: x, one column per channel (None: an empty sample), comments by row
+    x: list[float] = field(default_factory=list)
+    columns: list[list[Optional[float]]] = field(default_factory=list)
+    comments: dict[int, str] = field(default_factory=dict)
     extra_keys: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -209,10 +203,7 @@ def read_time(text: str, ds: str = ".") -> Optional[HighPrecisionTime]:
     """HH:MM:SS with optional fraction digits after ds, naming a time on
     the clock: None for hours over 23, minutes over 59 or seconds over 60."""
     m = _TIME_PATTERNS[ds].fullmatch(text)
-    if not m:
-        return None
-    return HighPrecisionTime(int(m.group(1)), int(m.group(2)), int(m.group(3)),
-                             m.group(4) or "")
+    return HighPrecisionTime(*map(int, m.groups()[:3]), m.group(4) or "") if m else None
 
 
 def read_text(text: str) -> Optional[str]:
@@ -248,9 +239,7 @@ def format_real(value: float) -> str:
 def format_sci16(value: float, ds: str = ".") -> str:
     """Render a real in the X0 style: 16 fractional digits, bare exponent."""
     mantissa, exponent = f"{value:.16E}".split("E")
-    exp = int(exponent)
-    sign = "+" if exp >= 0 else "-"
-    text = f"{mantissa}E{sign}{abs(exp)}"
+    text = f"{mantissa}E{int(exponent):+d}"
     return text if ds == "." else text.replace(".", ds)
 
 
@@ -336,9 +325,9 @@ def segment_header_fields(segment: LvmSegment,
 
 # --- parsing ---------------------------------------------------------------
 
-# every character a data row may hold for the one-float()-per-field
-# conversion, besides the separator and the decimal separator
+# a data chunk's characters besides sep and ds, and its lines, which bound its memory
 _FAST_ALPHABET = b"0123456789eE+-"
+_CHUNK = 1024
 
 _GRAMMAR_NAMES = {read_real: "a number under {!r}", read_int: "an integer",
                   read_date: "a YYYY/MM/DD date", read_time: "a HH:MM:SS time"}
@@ -348,8 +337,7 @@ def _field(read, text: str, line_no: int, col: int, *ds: str):
     """read(text, *ds), or MalformedNumber(line_no, col) if read rejects text."""
     value = read(text, *ds)
     if value is None:
-        raise MalformedNumber(line_no, col,
-                              f"not {_GRAMMAR_NAMES[read].format(*ds)}: {text!r}")
+        raise MalformedNumber(line_no, col, f"not {_GRAMMAR_NAMES[read].format(*ds)}: {text!r}")
     return value
 
 
@@ -404,9 +392,9 @@ def parse_lvm(data) -> LvmDocument:
         raise MissingHeaderTerminator("file header never terminated")
     header = _parse_file_header(block)
     sep, ds = header.separator.char, header.decimal_separator
-    segments = []
+    segments, texts = [], [line for line, _ in lines] + [HEADER_TERMINATOR]
     while at < len(lines):
-        segment, at = _parse_segment(lines, at, sep, ds)
+        segment, at = _parse_segment(lines, texts, at, sep, ds)
         segments.append(segment)
     if not segments:
         raise MissingHeaderTerminator("no segment found after file header")
@@ -444,9 +432,10 @@ def _parse_file_header(block: list[tuple[str, int]]) -> LvmFileHeader:
     return LvmFileHeader(extra_keys=extra, **fields)
 
 
-def _parse_segment(lines: list[tuple[str, int]], at: int, sep: str,
+def _parse_segment(lines: list[tuple[str, int]], texts: list[str], at: int, sep: str,
                    ds: str) -> tuple[LvmSegment, int]:
-    """The segment whose header starts at lines[at], and the index after it."""
+    """The segment whose header starts at lines[at], and the index after it;
+    texts holds the lines without their numbers, then a header terminator."""
     block, at = _header_block(lines, at)
     fields: dict[str, object] = {}
     extra: dict[str, str] = {}
@@ -482,49 +471,66 @@ def _parse_segment(lines: list[tuple[str, int]], at: int, sep: str,
     defaults = {name: list(default * channels)
                 for name, _, _, default in _SEGMENT_LINES.values() if default}
     segment = LvmSegment(column_names=column_names, extra_keys=extra,
-                         **{**defaults, **fields})
+                         columns=[[] for _ in range(channels)], **{**defaults, **fields})
     name = _mismatched_channel_list(segment)
     if name:
         raise ChannelCountMismatch(channels, len(getattr(segment, name)), name)
 
-    # Data rows run until EOF or until a non-numeric first field, which
-    # marks the start of the next segment's header.  A row of 1 + channels
-    # fields on the alphabet _FAST_ALPHABET + sep + ds (the file header
-    # refuses sep == ds) takes one float() per field: on that alphabet
-    # float() accepts exactly read_real's grammar once ds reads as ".", as
-    # no whitespace, "_", "inf"/"nan" or non-ASCII digit can occur.
-    # isascii() comes first, as encode() raises on a lone surrogate.  Every
-    # other row (a comment, an empty sample, a header line, text float()
-    # rejects, a non-finite sum) reads each field through read_real, which
-    # raises the exact error.
-    alphabet = _FAST_ALPHABET + (sep + ds).encode()
+    # Data rows run until EOF or a non-numeric first field, which starts the
+    # next segment's header, so chunks stop before the non-numeric lines that
+    # lead up to the next terminator.  A chunk _read_chunk refuses is read a row
+    # at a time; a row it refuses alone reads each field through read_real.
     match_real = _REAL_PATTERNS[ds].fullmatch
-    for at in range(at + 1, len(lines)):
-        line, line_no = lines[at]
-        if line.isascii() and not line.encode().translate(None, alphabet):
-            fields = line.replace(ds, ".").split(sep)
-            if len(fields) == 1 + channels:
-                try:
-                    row = tuple(map(float, fields))
-                except ValueError:  # an empty field, or text outside the grammar
-                    pass
-                else:
-                    if math.isfinite(sum(row)):
-                        segment.rows.append(DataRow(row[0], row[1:]))
-                        continue
-        fields = line.split(sep)
-        if not match_real(fields[0]):
-            return segment, at
-        # a row may leave out the comment a Comment column declares
-        comments = len(fields) - 1 - channels
-        if not 0 <= comments <= has_comment:
-            raise ChannelCountMismatch(1 + channels + has_comment, len(fields),
-                                       f"data row {line_no}")
-        comment = fields.pop() if comments else None
-        x, *values = (_field(read_real, f, line_no, col, ds) if f else None
-                      for col, f in enumerate(fields, 1))
-        segment.rows.append(DataRow(x=x, values=tuple(values), comment=comment))
-    return segment, len(lines)
+    end = min(texts.index(HEADER_TERMINATOR, at), len(lines))
+    while end > at + 1 and not match_real(texts[end - 1].split(sep)[0]):
+        end -= 1
+    for start in range(at + 1, end, _CHUNK):
+        if _read_chunk(segment, texts[start:min(start + _CHUNK, end)], sep, ds):
+            continue
+        for at, (line, line_no) in enumerate(lines[start:min(start + _CHUNK, end)], start):
+            if _read_chunk(segment, [line], sep, ds):
+                continue
+            fields = line.split(sep)
+            if not match_real(fields[0]):
+                return segment, at
+            # a row may leave out the comment a Comment column declares
+            comments = len(fields) - 1 - channels
+            if not 0 <= comments <= has_comment:
+                raise ChannelCountMismatch(1 + channels + has_comment, len(fields),
+                                           f"data row {line_no}")
+            if comments:
+                segment.comments[len(segment.x)] = fields.pop()
+            for column, (col, f) in zip([segment.x, *segment.columns], enumerate(fields, 1)):
+                column.append(_field(read_real, f, line_no, col, ds) if f else None)
+    return segment, end
+
+
+def _read_chunk(segment: LvmSegment, texts: list[str], sep: str, ds: str) -> bool:
+    """Convert the data lines texts whole into the segment's columns, or return
+    False if one is not 1 + channels numbers with a nonempty x.  On _FAST_ALPHABET
+    + sep + ds (the file header refuses sep == ds), float() reads exactly read_real's
+    grammar once ds reads as ".": no whitespace, "_", "inf"/"nan" or non-ASCII digit
+    occurs.  isascii() comes first, as encode() raises on a lone surrogate."""
+    block, width = sep.join(texts), 1 + segment.channels
+    alphabet = _FAST_ALPHABET + (sep + ds).encode()
+    if (not block.isascii() or block.encode().translate(None, alphabet)
+            or {*map(str.count, texts, repeat(sep))} != {width - 1}):
+        return False
+    fields, holes = block.replace(ds, ".").split(sep), []
+    for _ in range(fields.count("")):  # found by index: an enumerate scan is slower
+        holes.append(fields.index("", holes[-1] + 1 if holes else 0))
+        fields[holes[-1]] = "0"  # an empty sample, None once converted
+    try:
+        values: list = list(map(float, fields))
+    except ValueError:  # text outside the grammar
+        return False
+    if not math.isfinite(sum(values)) or any(hole % width == 0 for hole in holes):
+        return False  # an overflow (1e999), or an empty x
+    for hole in holes:
+        values[hole] = None
+    for k, column in enumerate([segment.x, *segment.columns]):
+        column += values[k::width]
+    return True
 
 
 # --- serialization ----------------------------------------------------------
@@ -585,11 +591,9 @@ def _serialize_segment(segment: LvmSegment, sep: str, ds: str, check_text) -> li
     name = _mismatched_channel_list(segment)
     if name:
         raise InvariantViolation(f"{name} length != channels")
-    for v in segment.x0 + segment.delta_x:
-        if not math.isfinite(v):
-            raise InvariantViolation("X0/Delta_X values must be finite")
-    expected_cols = 1 + n + (1 if segment.has_comment_column else 0)
-    if len(segment.column_names) != expected_cols:
+    if not all(map(math.isfinite, segment.x0 + segment.delta_x)):
+        raise InvariantViolation("X0/Delta_X values must be finite")
+    if len(segment.column_names) != 1 + n + segment.has_comment_column:
         raise InvariantViolation("column_names length != 1 + channels (+ Comment)")
 
     out = []
@@ -609,33 +613,29 @@ def _serialize_segment(segment: LvmSegment, sep: str, ds: str, check_text) -> li
         check_text(name, f"column name {name!r}")
     out.append(sep.join(segment.column_names))
 
-    for i, row in enumerate(segment.rows):
-        if len(row.values) != n:
-            raise InvariantViolation(f"row {i} has {len(row.values)} values, expected {n}")
-        if not math.isfinite(row.x) or any(v is not None and not math.isfinite(v)
-                                           for v in row.values):
+    rows, comments = len(segment.x), segment.comments
+    if len(segment.columns) != n or any(len(column) != rows for column in segment.columns):
+        raise InvariantViolation(f"columns must be {n} lists of {rows} samples, as x is")
+    if comments and not (segment.has_comment_column and all(0 <= i < rows for i in comments)):
+        raise InvariantViolation("a comment needs a Comment column and a row")
+    for i, row in enumerate(zip(segment.x, *segment.columns)):
+        if row[0] is None or not all(v is None or math.isfinite(v) for v in row):
             raise InvariantViolation(f"row {i} contains a non-finite value")
-        fields = [format_fixed6(row.x, ds)]
-        fields += ["" if v is None else format_fixed6(v, ds) for v in row.values]
-        if row.comment is not None:
-            if not segment.has_comment_column:
-                raise InvariantViolation(f"row {i} carries a comment but no Comment column is declared")
-            check_text(row.comment, f"comment of row {i}")
-            fields.append(row.comment)
-        out.append(sep.join(fields))
+        out.append(sep.join(["" if v is None else format_fixed6(v, ds) for v in row]))
+        if i in comments:
+            check_text(comments[i], f"comment of row {i}")
+            out[-1] += sep + comments[i]
     return out
 
 
-def channel_series(doc: LvmDocument, segment_index: int, channel_index: int) -> list[tuple[float, float]]:
-    """(x, y) pairs for one channel, skipping rows where the value is absent."""
+def channel_series(doc: LvmDocument, segment_index: int, channel_index: int) -> tuple[tuple, tuple]:
+    """One channel's (x, y) columns, without the rows where its sample is empty."""
     try:
         segment = doc.segments[segment_index]
     except IndexError:
         raise IndexOutOfRange(f"segment {segment_index} of {len(doc.segments)}") from None
     if not 0 <= channel_index < segment.channels:
         raise IndexOutOfRange(f"channel {channel_index} of {segment.channels}")
-    return [
-        (row.x, row.values[channel_index])
-        for row in segment.rows
-        if row.values[channel_index] is not None
-    ]
+    column = segment.columns[channel_index]
+    present = [y is not None for y in column]
+    return tuple(compress(segment.x, present)), tuple(compress(column, present))

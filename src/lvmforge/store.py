@@ -13,8 +13,10 @@ The schema follows the t_<code>_<name> / <code>_number naming convention:
                                 read in prm_number (declaration) order
     t_ser_series                one (index, x, y) row per series point, clustered
                                 by (msr_number, prm_number, ser_index), written
-                                in multi-row INSERTs of _BATCH rows; a series
-                                reads back as one key range of (x, y) row tuples
+                                in multi-row INSERTs of _BATCH rows that bind
+                                slices of the series' x and y interleaved; a
+                                series reads back as one key range of rows,
+                                transposed into its x and y columns
 
 Values are stored in their canonical text form (see
 :func:`lvmforge.model.render_canonical`); put_measurement refuses a value
@@ -54,7 +56,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date as Date
 from datetime import datetime
-from itertools import chain
+from itertools import chain, count, repeat
+from operator import itemgetter
 from typing import Optional
 
 from .errors import (
@@ -157,6 +160,9 @@ _SERIES_COLUMNS = "INSERT INTO t_ser_series (msr_number, prm_number, ser_index, 
 _INSERT_POINT = _SERIES_COLUMNS + " VALUES (?,?,?,?,?)"
 _INSERT_BATCH = _SERIES_COLUMNS + " VALUES " + ",".join(
     f"(?1,?2,?3+{j},?{4 + 2 * j},?{5 + 2 * j})" for j in range(_BATCH))
+
+# the columns of a (ser_x, ser_y) row
+_X, _Y = itemgetter(0), itemgetter(1)
 
 # a model's t_eqp_equipments row, read without constructing the model
 _EQUIPMENT = ("SELECT eqp_number, eqp_name, eqp_producer, eqp_description, eqp_webpage,"
@@ -531,15 +537,15 @@ class Store:
                 "INSERT INTO t_val_values (msr_number, prm_number, val_text) VALUES (?,?,?)",
                 [(msr, number, text) for number, text in values])
             for number, s in zip(series, record.series):
-                tail = len(s.points) - len(s.points) % _BATCH
-                # a generator: one chunk's parameters are built at a time, so
-                # the rows of a long series are never all in memory
+                flat = [0.0] * (2 * len(s.x))
+                flat[::2], flat[1::2] = s.x, s.y
+                tail = len(s.x) - len(s.x) % _BATCH
+                # a generator: one chunk's parameters are built at a time
                 conn.executemany(_INSERT_BATCH, (
-                    (msr, number, start, *chain.from_iterable(s.points[start:start + _BATCH]))
+                    (msr, number, start, *flat[2 * start:2 * (start + _BATCH)])
                     for start in range(0, tail, _BATCH)))
-                conn.executemany(_INSERT_POINT, (
-                    (msr, number, index, x, y)
-                    for index, (x, y) in enumerate(s.points[tail:], tail)))
+                conn.executemany(_INSERT_POINT, zip(
+                    repeat(msr), repeat(number), count(tail), s.x[tail:], s.y[tail:]))
             return msr
 
     def get_measurement(self, msr_number: int) -> MeasurementRecord:
@@ -570,13 +576,14 @@ class Store:
                                  make_typed(definition, text))
             series = self._decoded(msr_number, "msr_series",
                                    lambda text: [(n, by_id[n]) for n in json.loads(text)], row[6])
-            # one primary-key range read per series (no sort); the rows
-            # sqlite3 builds in C are the (x, y) points themselves
+            # one primary-key range read per series (no sort), transposed
+            # by itemgetter in C: zip(*rows) is slower on long series
             for prm_number, d in series:
-                points = tuple(self._conn.execute(
+                rows = self._conn.execute(
                     "SELECT ser_x, ser_y FROM t_ser_series WHERE msr_number = ?"
-                    " AND prm_number = ? ORDER BY ser_index", (msr_number, prm_number)).fetchall())
-                record.series.append(ChannelSeries(d.name, d.unit, points))
+                    " AND prm_number = ? ORDER BY ser_index", (msr_number, prm_number)).fetchall()
+                record.series.append(ChannelSeries(d.name, d.unit, tuple(map(_X, rows)),
+                                                   tuple(map(_Y, rows))))
         return record
 
     def query(self, equipment: Optional[str] = None, operator: Optional[str] = None,
@@ -654,30 +661,20 @@ def _stored_text(definition: ParameterDefinition, typed: TypedValue) -> str:
 
 
 def _require_finite(series: ChannelSeries) -> None:
-    """Raise TypeMismatch unless the points are a tuple or list (the writes
-    take their length and slices), for the first point that is not an (x, y)
-    pair, or for the first sample that is not a finite real get would give
-    back as itself.  SQLite binds NaN as NULL and the .lvm parser refuses
-    infinities, so the store keeps neither.  An int sample is bound as an
-    SQLite INTEGER: one outside 64 bits does not bind, and REAL affinity
-    rounds one that float() does not hold exactly (2**53 + 1 would come back
-    as 2**53).  Pairs keep the flat parameters of _INSERT_BATCH aligned."""
-    points = series.points
-    if not isinstance(points, (tuple, list)):
-        raise TypeMismatch(series.name, points, "points must be a tuple or list of (x, y) pairs")
+    """Raise TypeMismatch for the first sample, in point order, that is not
+    a finite real get would give back as itself.  SQLite binds NaN as NULL
+    and the .lvm parser refuses infinities, so the store keeps neither.  An
+    int sample is bound as an SQLite INTEGER: one outside 64 bits does not
+    bind, and REAL affinity rounds one that float() does not hold exactly
+    (2**53 + 1 would come back as 2**53)."""
     try:
-        if {*map(len, points)} <= {2}:
-            # float.__floor__ takes only a float and raises on NaN and on an
-            # infinity, so one pass in C clears a series of finite floats
-            deque(map(float.__floor__, chain.from_iterable(points)), 0)
-            return
+        # float.__floor__ takes only a float and raises on NaN and on an
+        # infinity, so one pass in C clears columns of finite floats
+        deque(map(float.__floor__, chain(series.x, series.y)), 0)
+        return
     except (TypeError, ValueError, OverflowError):
         pass
-    for point in points:
-        if not hasattr(point, "__len__") or len(point) != 2:
-            raise TypeMismatch(series.name, point, "a point must be an (x, y) pair")
-        for v in point:
-            if not (math.isfinite(v) if isinstance(v, float) else
-                    isinstance(v, int) and -2**63 <= v < 2**63 and float(v) == v):
-                raise TypeMismatch(series.name, v, "a sample must be a finite real")
-
+    for v in chain.from_iterable(zip(series.x, series.y)):
+        if not (math.isfinite(v) if isinstance(v, float) else
+                isinstance(v, int) and -2**63 <= v < 2**63 and float(v) == v):
+            raise TypeMismatch(series.name, v, "a sample must be a finite real")

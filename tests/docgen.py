@@ -11,7 +11,6 @@ import string
 from datetime import date
 
 from lvmforge import (
-    DataRow,
     HighPrecisionTime,
     LvmDocument,
     LvmFileHeader,
@@ -97,15 +96,13 @@ def _random_segment(rng: random.Random, channels: int | None, max_rows: int,
         column_names.append("Comment")
     shared_date = random_date(rng)
     shared_time = random_hpt(rng)
-    rows = []
+    x, columns, comments = [], [[] for _ in range(n)], {}
     for i in range(rng.randint(0, max_rows)):
-        values = tuple(
-            None if rng.random() < 0.1 else quantized(rng) for _ in range(n)
-        )
-        comment = None
+        for column in columns:
+            column.append(None if rng.random() < 0.1 else quantized(rng))
         if with_comment and rng.random() < 0.3:
-            comment = text(rng).replace(sep_char, " ")
-        rows.append(DataRow(x=quantized(rng, 0, 1000), values=values, comment=comment))
+            comments[i] = text(rng).replace(sep_char, " ")
+        x.append(quantized(rng, 0, 1000))
     return LvmSegment(
         channels=n,
         notes=text(rng) if rng.random() < 0.3 else None,
@@ -116,6 +113,8 @@ def _random_segment(rng: random.Random, channels: int | None, max_rows: int,
         x0=[rng.choice([0.0, rng.uniform(-1e3, 1e3)]) for _ in range(n)],
         delta_x=[quantized(rng, 0.000001, 10)] * n,
         column_names=column_names,
-        rows=rows,
+        x=x,
+        columns=columns,
+        comments=comments,
         extra_keys=_extra_keys(rng, sep_char),
     )

@@ -59,10 +59,11 @@ def test_criterion_1_annex1_fidelity(annex1_bytes):
     segment = doc.segments[0]
     assert segment.channels == 3
     assert segment.delta_x == [1.0, 1.0, 1.0]
-    assert len(segment.rows) == 16
-    first, last = segment.rows[0], segment.rows[-1]
-    assert (first.x, *first.values) == (0.0, 23.4, 23.4, 23.6)
-    assert (last.x, *last.values) == (64.53125, 24.0, 24.0, 24.200001)
+    assert len(segment.x) == 16
+    assert [segment.x[0], *(column[0] for column in segment.columns)] == [
+        0.0, 23.4, 23.4, 23.6]
+    assert [segment.x[-1], *(column[-1] for column in segment.columns)] == [
+        64.53125, 24.0, 24.0, 24.200001]
     assert elapsed < 1.0
     report(1, "Annex-1 fidelity")
 
@@ -184,10 +185,10 @@ def test_criterion_7_end_to_end(tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(csv_path.read_text())))
     blank = rows.index([])
     assert rows[blank + 1][0] == "X_Value"
-    expected = channel_series(parse_lvm(gen_path.read_bytes()), 0, 0)
+    xs, ys = channel_series(parse_lvm(gen_path.read_bytes()), 0, 0)
     data_rows = rows[blank + 2:]
-    assert len(data_rows) == len(expected) == 120
-    for row, (x, y) in zip(data_rows, expected):
+    assert len(data_rows) == len(xs) == 120
+    for row, x, y in zip(data_rows, xs, ys):
         assert abs(float(row[0]) - x) <= 5e-7
         assert abs(float(row[1]) - y) <= 5e-7
 
@@ -220,9 +221,9 @@ def test_criterion_8_store_integrity(tmp_path):
         record.set_value(ConceptCategory.EXPERIMENT_CHARACTERIZATION, "Channels",
                          make_typed(model.parameter("Channels"), "1"))
         if rng.random() < 0.8:
-            points = tuple((float(k), rng.randint(0, 10**8) / 1e6)
-                           for k in range(rng.randint(1, 6)))
-            record.series.append(ChannelSeries("Channel_0", "CelsiusDegree", points))
+            ys = [rng.randint(0, 10**8) / 1e6 for _ in range(rng.randint(1, 6))]
+            record.series.append(ChannelSeries("Channel_0", "CelsiusDegree",
+                                               map(float, range(len(ys))), ys))
         return record
 
     with init_schema(tmp_path / "integrity.db") as store:

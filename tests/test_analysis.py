@@ -304,8 +304,8 @@ def test_gen_parse_path_reproduces_samples(seed):
     ]
     doc = parse_lvm(serialize_lvm(gen_lvm(responses)))
     for k, response in enumerate(responses):
-        series = channel_series(doc, 0, k)
-        assert len(series) == 12
-        for (x, y), (t, v) in zip(series, response.samples):
+        xs, ys = channel_series(doc, 0, k)
+        assert len(xs) == len(ys) == 12
+        for x, y, (t, v) in zip(xs, ys, response.samples):
             assert abs(x - t) <= 5e-7
             assert abs(y - v) <= 5e-7

@@ -123,7 +123,8 @@ def records(draw):
         else:
             ys = draw(st.lists(_Y, min_size=len(shared_grid), max_size=len(shared_grid)))
             points = list(zip(shared_grid, ys))
-        record.series.append(ChannelSeries(draw(_TEXT), draw(_UNIT), tuple(points)))
+        record.series.append(ChannelSeries(draw(_TEXT), draw(_UNIT), [x for x, _ in points],
+                                           [y for _, y in points]))
     return record
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lvmforge import (
+    ChannelSeries,
     ConceptCategory,
     LvmDocument,
     LvmFileHeader,
@@ -25,6 +26,7 @@ from lvmforge.errors import (
     EmptyName,
     ExtensionNotDeclared,
     InvariantViolation,
+    LengthMismatch,
     NoBinding,
     TypeMismatch,
     UnknownEquipment,
@@ -145,6 +147,27 @@ def test_map_annex_record(annex1_doc, sytherm3):
     assert record.series[0].points[0] == (0.0, 23.4)
 
 
+_SAMPLES = st.lists(st.floats(), max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(xs=_SAMPLES, ys=_SAMPLES, as_tuples=st.booleans())
+def test_channel_series_holds_two_tuple_columns_of_equal_length(xs, ys, as_tuples):
+    """Columns of equal length become tuples, points pairs them, and columns
+    of unequal length are refused."""
+    x, y = (tuple(xs), tuple(ys)) if as_tuples else (iter(xs), ys)
+    if len(xs) != len(ys):
+        with pytest.raises(LengthMismatch):
+            ChannelSeries("Channel_0", None, x, y)
+        return
+    series = ChannelSeries("Channel_0", None, x, y)
+    assert type(series.x) is tuple and type(series.y) is tuple
+    assert len(series.x) == len(xs)
+    assert all(a is b for a, b in zip(series.x + series.y, xs + ys))
+    assert series.points == tuple(zip(series.x, series.y))
+    assert series == ChannelSeries("Channel_0", None, series.x, series.y)
+
+
 def test_map_ignored_keys_absent(annex1_doc, sytherm3):
     record = map_lvm_to_record(annex1_doc, sytherm3)
     stored = {name for values in record.values.values() for name in values}
@@ -231,9 +254,8 @@ def test_map_later_segments_warn(sytherm3):
     doc = random_document(random.Random(3), channels=3, segments=2)
     record = map_lvm_to_record(doc, sytherm3)
     assert any("segment 1 ignored" in w for w in record.warnings)
-    rows0 = [r for r in doc.segments[0].rows]
-    total_points = sum(len(s.points) for s in record.series)
-    assert total_points <= 3 * len(rows0)
+    total_points = sum(len(s.x) for s in record.series)
+    assert total_points <= 3 * len(doc.segments[0].x)
 
 
 @settings(max_examples=50, deadline=None)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from lvmforge import lvm
 from lvmforge import (
-    DataRow,
     HighPrecisionTime,
     LvmDocument,
     LvmFileHeader,
@@ -65,33 +64,33 @@ def test_annex1_segment(annex1_doc):
     assert s.x_dimension == ["Time", "Time", "Time"]
     assert s.notes == "X values guaranteed valid only for Channel 0"
     assert s.column_names == ["X_Value", "Channel 0", "Channel 1", "Channel 2", "Comment"]
-    assert len(s.rows) == 16
+    assert len(s.x) == 16
 
 
 def test_annex1_first_row(annex1_doc):
-    row = annex1_doc.segments[0].rows[0]
-    assert row.x == 0.0
-    assert row.values == (23.4, 23.4, 23.6)
-    assert row.comment is None
+    s = annex1_doc.segments[0]
+    assert s.x[0] == 0.0
+    assert [column[0] for column in s.columns] == [23.4, 23.4, 23.6]
+    assert s.comments == {}
 
 
 def test_minimal_file_empty_data_block():
     doc = parse_lvm(MINIMAL)
     assert doc.segments[0].channels == 1
-    assert doc.segments[0].rows == []
+    assert (doc.segments[0].x, doc.segments[0].columns) == ([], [[]])
 
 
 def test_dot_decimal_separator_row():
     text = MINIMAL + "1.5\t20.0\n"
     doc = parse_lvm(text)
-    assert doc.segments[0].rows == [DataRow(x=1.5, values=(20.0,))]
+    assert (doc.segments[0].x, doc.segments[0].columns) == ([1.5], [[20.0]])
 
 
 def test_locale_equivalence():
     comma = MINIMAL.replace("Decimal_Separator\t.", "Decimal_Separator\t,")
     doc_dot = parse_lvm(MINIMAL + "1.5\t-20.25\n")
     doc_comma = parse_lvm(comma + "1,5\t-20,25\n")
-    assert doc_dot.segments[0].rows == doc_comma.segments[0].rows
+    assert doc_dot.segments[0] == doc_comma.segments[0]
 
 
 def test_annex1_roundtrip(annex1_doc):
@@ -285,13 +284,13 @@ def test_unknown_header_keys_preserved_in_order(annex1_bytes):
 
 
 def test_channel_series_annex(annex1_doc):
-    series = channel_series(annex1_doc, 0, 2)
-    assert series[0] == (0.0, 23.6)
-    assert len(series) == 16
+    x, y = channel_series(annex1_doc, 0, 2)
+    assert (x[0], y[0]) == (0.0, 23.6)
+    assert len(x) == len(y) == 16
 
 
 def test_channel_series_empty_block():
-    assert channel_series(parse_lvm(MINIMAL), 0, 0) == []
+    assert channel_series(parse_lvm(MINIMAL), 0, 0) == ((), ())
 
 
 def test_channel_series_skips_absent_values():
@@ -299,8 +298,8 @@ def test_channel_series_skips_absent_values():
     text = text.replace("X_Value\tChannel 0", "X_Value\tChannel 0\tChannel 1")
     text += "0.0\t\t5.0\n1.0\t4.0\t6.0\n"
     doc = parse_lvm(text)
-    assert channel_series(doc, 0, 0) == [(1.0, 4.0)]
-    assert channel_series(doc, 0, 1) == [(0.0, 5.0), (1.0, 6.0)]
+    assert channel_series(doc, 0, 0) == ((1.0,), (4.0,))
+    assert channel_series(doc, 0, 1) == ((0.0, 1.0), (5.0, 6.0))
 
 
 def test_channel_series_index_errors(annex1_doc):
@@ -314,8 +313,7 @@ def test_comment_column_roundtrip():
     text = MINIMAL.replace("X_Value\tChannel 0", "X_Value\tChannel 0\tComment")
     text += "0.0\t1.0\tfirst\n1.0\t2.0\n2.0\t3.0\t\n"
     doc = parse_lvm(text)
-    comments = [row.comment for row in doc.segments[0].rows]
-    assert comments == ["first", None, ""]
+    assert doc.segments[0].comments == {0: "first", 2: ""}
     assert parse_lvm(serialize_lvm(doc)) == doc
 
 
@@ -328,24 +326,32 @@ def test_multi_segment_roundtrip():
 
 def test_serializer_rejects_row_length_mismatch():
     doc = parse_lvm(MINIMAL)
-    doc.segments[0].rows.append(DataRow(x=0.0, values=(1.0, 2.0)))
-    with pytest.raises(InvariantViolation):
-        serialize_lvm(doc)
+    for x, columns in (([0.0], [[1.0], [2.0]]), ([0.0], [[1.0, 2.0]]), ([0.0, 1.0], [[1.0]]),
+                       ([0.0], [])):
+        doc.segments[0] = dataclasses.replace(doc.segments[0], x=x, columns=columns)
+        with pytest.raises(InvariantViolation, match="columns must be 1 lists of"):
+            serialize_lvm(doc)
 
 
 def test_serializer_rejects_comment_without_column():
-    doc = parse_lvm(MINIMAL)
-    doc.segments[0].rows.append(DataRow(x=0.0, values=(1.0,), comment="x"))
-    with pytest.raises(InvariantViolation):
-        serialize_lvm(doc)
+    for row in (0, 1):  # a comment on the one row, or past it
+        doc = parse_lvm(MINIMAL + "0.0\t1.0\n")
+        doc.segments[0].comments[row] = "x"
+        with pytest.raises(InvariantViolation, match="a comment needs a Comment column"):
+            serialize_lvm(doc)
 
 
 def test_serializer_rejects_non_finite_values():
     doc = parse_lvm(MINIMAL)
-    doc.segments[0].rows.append(DataRow(x=0.0, values=(float("nan"),)))
+    doc.segments[0].x.append(0.0)
+    doc.segments[0].columns[0].append(float("nan"))
     with pytest.raises(InvariantViolation):
         serialize_lvm(doc)
-    doc.segments[0].rows = []
+    doc.segments[0].x[0] = None
+    doc.segments[0].columns[0][0] = 1.0
+    with pytest.raises(InvariantViolation):
+        serialize_lvm(doc)
+    doc.segments[0].x, doc.segments[0].columns = [], [[]]
     doc.segments[0].x0 = [float("inf")]
     with pytest.raises(InvariantViolation):
         serialize_lvm(doc)
@@ -403,7 +409,7 @@ def test_serializer_refuses_text_utf8_cannot_encode(place):
     elif place == "column name":
         segment.column_names[1] = _LONE
     else:
-        segment.rows[0] = DataRow(x=0.0, values=(1.0,), comment=_LONE)
+        segment.comments[0] = _LONE
     with pytest.raises(InvariantViolation, match="not UTF-8 text"):
         serialize_lvm(doc)
 
@@ -590,15 +596,45 @@ def test_fast_rows_agree_with_the_row_loop(data):
         "***End_of_Header***", f"Channels{sep}{channels}", "***End_of_Header***",
         sep.join(columns + ["Comment"] * comment_column), *lines]) + "\n"
     with pytest.MonkeyPatch.context() as patch:
-        # with no digit in the alphabet no row reaches the float() shortcut
+        # with no digit in the alphabet no chunk is converted whole
         patch.setattr(lvm, "_FAST_ALPHABET", b"")
         row_loop = _outcome(text)
     assert _outcome(text) == row_loop
+    with pytest.MonkeyPatch.context() as patch:
+        # chunks of 2 lines: mutations fall on chunk edges and in later chunks
+        patch.setattr(lvm, "_CHUNK", 2)
+        assert _outcome(text) == row_loop
+
+
+def test_a_block_with_empty_samples_is_converted_in_chunks():
+    """5000 rows of 8 channels, 0.2 % of the samples empty, parse without a
+    field read through _field, into the document the row loop reads."""
+    rng = random.Random(25)
+    rows = ["\t".join(["%.6f" % i] + ["" if rng.random() < 0.002 else "%.6f" % rng.uniform(-50, 300)
+                                     for _ in range(8)]) for i in range(5000)]
+    text = (MINIMAL.replace("Channels\t1", "Channels\t8").replace(
+        "X_Value\tChannel 0", "\t".join(["X_Value"] + [f"Channel {k}" for k in range(8)]))
+        + "\n".join(rows) + "\n")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lvm, "_FAST_ALPHABET", b"")
+        row_loop = parse_lvm(text)
+
+    def refuse(read, text, line_no, *args):
+        assert line_no < 8, f"line {line_no}: a data field read through _field"
+        return field(read, text, line_no, *args)
+
+    field = lvm._field
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lvm, "_field", refuse)
+        doc = parse_lvm(text)
+    assert doc == row_loop
+    assert sum(column.count(None) for column in doc.segments[0].columns) > 0
 
 
 def test_fast_rows_take_a_clean_block_whole(annex1_bytes):
     # the Annex-1 block has a Comment column but no comment
-    assert len(parse_lvm(annex1_bytes).segments[0].rows) == 16
+    assert len(parse_lvm(annex1_bytes).segments[0].x) == 16
     with pytest.raises(MalformedNumber) as info:
         parse_lvm(MINIMAL + "1.5\t20.0\n\t\n2.5\t\n3\t1e999\n")
     assert (info.value.line, info.value.column) == (11, 2)
@@ -612,5 +648,5 @@ def test_parse_is_linear_in_segments():
     start = time.perf_counter()
     doc = parse_lvm(text)
     elapsed = time.perf_counter() - start
-    assert len(doc.segments) == 4000 and all(len(s.rows) == 10 for s in doc.segments)
+    assert len(doc.segments) == 4000 and all(len(s.x) == 10 for s in doc.segments)
     assert elapsed < 1.0, f"4000 segments took {elapsed:.2f} s"

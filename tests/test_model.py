@@ -296,7 +296,7 @@ def _parser_reads(kind, text, ds):
         segment = parse_lvm(data).segments[0]
     except MalformedNumber:
         return None
-    read = {"real": [segment.rows[0].values[0]], "int": segment.samples_per_channel,
+    read = {"real": segment.columns[0], "int": segment.samples_per_channel,
             "date": segment.channel_dates, "time": segment.channel_times}
     return read[kind][0]
 

@@ -42,6 +42,7 @@ from lvmforge.errors import (
     DuplicateKey,
     DuplicateProcedure,
     ExtensionNotDeclared,
+    LengthMismatch,
     ForeignKeyViolation,
     NotFound,
     SchemaVersionMismatch,
@@ -328,7 +329,7 @@ def test_put_measurement_rejects_what_get_would_not_give_back(store, sytherm3,
     setup = ConceptCategory.EXPERIMENT_CHARACTERIZATION
     cases = [
         ("Channel_1", lambda r: r.series.__setitem__(
-            1, ChannelSeries("Channel_1", "Kelvin", r.series[1].points))),
+            1, dataclasses.replace(r.series[1], unit="Kelvin"))),
         ("Date", lambda r: r.set_value(info, "Date",
                                        TypedValue("2013/01/01", ValueType.STRING))),
         ("X0", lambda r: r.set_value(setup, "X0", TypedValue(0.0, ValueType.REAL, "Kelvin"))),
@@ -399,9 +400,9 @@ def test_put_measurement_rejects_a_sample_that_is_not_a_finite_real(
     store.put_equipment(sytherm3)
     store.put_measurement(annex_record)
     series = list(annex_record.series)
-    points = [list(p) for p in series[1].points]
-    points[3][axis] = bad
-    series[1] = ChannelSeries(series[1].name, series[1].unit, tuple(map(tuple, points)))
+    columns = [list(series[1].x), list(series[1].y)]
+    columns[axis][3] = bad
+    series[1] = ChannelSeries(series[1].name, series[1].unit, *columns)
     before = {t: count(store, t) for t in EXPECTED_TABLES}
     with pytest.raises(TypeMismatch, match=re.escape(
             f"parameter {series[1].name!r} rejects {bad!r}: a sample must be a finite real")):
@@ -410,25 +411,24 @@ def test_put_measurement_rejects_a_sample_that_is_not_a_finite_real(
 
 
 def test_put_measurement_rejects_a_point_that_is_not_a_pair(store):
-    """A triple and a single in one chunk bind as many values as two pairs
-    do, so the chunk would be stored shifted; put refuses the triple before
-    it writes a row.  Flat samples, a None point and a generator of points
-    are refused as well, with TypeMismatch rather than a raw TypeError."""
+    """An x without its y would bind a batch's flat parameters shifted, so
+    a series whose columns differ in length is refused on construction.  A
+    sample that is a pair or None is refused by put with TypeMismatch, not
+    a raw TypeError, before it writes a row."""
     model = builtin_sytherm(1)
     store.put_equipment(model)
-    points = [(float(i), i / 2) for i in range(_BATCH)]
-    points[2:4] = [points[2] + (1.0,), points[3][:1]]
+    xs = [float(i) for i in range(_BATCH)]
+    with pytest.raises(LengthMismatch, match=f"'Channel_0': {_BATCH} x, {_BATCH - 1} y"):
+        ChannelSeries("Channel_0", "CelsiusDegree", xs, xs[:-1])
     before = {t: count(store, t) for t in EXPECTED_TABLES}
-    pair = "a point must be an (x, y) pair"
-    for bad, refusal in ((tuple(points), f"rejects {points[2]!r}: {pair}"),
-                         ((1.0, 2.0), f"rejects 1.0: {pair}"),
-                         (((1.0, 2.0), None), f"rejects None: {pair}"),
-                         ((p for p in ((1.0, 2.0),)),
-                          ">: points must be a tuple or list of (x, y) pairs")):
-        with pytest.raises(TypeMismatch) as info:
-            store.put_measurement(_channel_record(model, bad))
-        assert str(info.value).endswith(refusal), bad
-        assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+    for bad in ((1.0, 2.0), None):
+        for columns in ((xs[:2] + [bad] + xs[3:], xs), (xs, xs[:2] + [bad] + xs[3:])):
+            record = dataclasses.replace(_channel_record(model, ()), series=[
+                ChannelSeries("Channel_0", "CelsiusDegree", *columns)])
+            with pytest.raises(TypeMismatch,
+                               match=re.escape(f"rejects {bad!r}: a sample must be a finite real")):
+                store.put_measurement(record)
+            assert {t: count(store, t) for t in EXPECTED_TABLES} == before
 
 
 def test_measurement_roundtrip(store, sytherm3, annex_record):
@@ -439,11 +439,16 @@ def test_measurement_roundtrip(store, sytherm3, annex_record):
     assert loaded.record_id == msr
 
 
+def _series(name, unit, points):
+    """The series of the (x, y) points."""
+    return ChannelSeries(name, unit, [x for x, _ in points], [y for _, y in points])
+
+
 def _channel_record(model, *points):
     """A record of the model with one series per points tuple, in channel order."""
     return MeasurementRecord(
         equipment_name=model.name, imported_at=datetime(2024, 1, 1), source_file="hand.lvm",
-        series=[ChannelSeries(p.name, p.unit, series)
+        series=[_series(p.name, p.unit, series)
                 for p, series in zip(model.channel_parameters, points)])
 
 
@@ -897,7 +902,7 @@ def _hand_built_records(draw):
     record = MeasurementRecord(
         equipment_name=model.name, imported_at=datetime(2024, 3, 1, 10, 0, 0),
         source_file="hand.lvm",
-        series=[ChannelSeries(p.name, p.unit, draw(_POINTS, label=p.name)) for p in chosen])
+        series=[_series(p.name, p.unit, draw(_POINTS, label=p.name)) for p in chosen])
     return model, record
 
 
@@ -905,9 +910,9 @@ def _hand_built_records(draw):
 @given(built=_hand_built_records(), data=st.data())
 @example(built=(builtin_sytherm(2), MeasurementRecord(
     equipment_name="SYTHERM", imported_at=datetime(2024, 1, 1), source_file="",
-    series=[ChannelSeries("Channel_1", "CelsiusDegree",
-                          ((5e-324, 1.7976931348623157e308), (5e-324, -2.2250738585072014e-308))),
-            ChannelSeries("Channel_0", "CelsiusDegree", ())])), data=None)
+    series=[ChannelSeries("Channel_1", "CelsiusDegree", (5e-324, 5e-324),
+                          (1.7976931348623157e308, -2.2250738585072014e-308)),
+            ChannelSeries("Channel_0", "CelsiusDegree", (), ())])), data=None)
 def test_put_get_identity_for_hand_built_records(built, data):
     model, record = built
     with init_schema(":memory:") as store:
@@ -915,7 +920,7 @@ def test_put_get_identity_for_hand_built_records(built, data):
         got = store.get_measurement(store.put_measurement(record))
         assert dataclasses.replace(got, record_id=None) == record
         if record.series and data is not None:
-            twice = dataclasses.replace(record, series=record.series + [ChannelSeries(
+            twice = dataclasses.replace(record, series=record.series + [_series(
                 record.series[0].name, record.series[0].unit,
                 data.draw(_POINTS, label="second series of one name"))])
             before = {t: count(store, t) for t in EXPECTED_TABLES}
