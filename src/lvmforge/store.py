@@ -77,7 +77,7 @@ from .errors import (
     UnknownProcedure,
 )
 from .ingest import ChannelSeries, MeasurementRecord, ParsingBinding, ParsingProcedure
-from .lvm import format_date
+from .lvm import format_date, read_line
 from .model import (
     ConceptCategory,
     EquipmentModel,
@@ -211,6 +211,14 @@ def _json_strings(text: str, shape: type):
     if not isinstance(value, shape) or not all(isinstance(s, str) for s in strings):
         raise ValueError(text)
     return value
+
+
+def _one_line(text: Optional[str]) -> Optional[str]:
+    """A stored String value, or None: ValueError unless it is one line of
+    UTF-8 text, as put writes one (older stores may hold line breaks)."""
+    if text is not None and read_line(text) is None:
+        raise ValueError(text)
+    return text
 
 
 @dataclass(frozen=True)
@@ -606,7 +614,8 @@ class Store:
                 RecordSummary(record_id=r[0], equipment_name=r[1],
                               imported_at=self._decoded(r[0], "msr_imported_at",
                                                         datetime.fromisoformat, r[2]),
-                              source_file=r[3], operator=r[4])
+                              source_file=r[3],
+                              operator=self._decoded(r[0], "Operator val_text", _one_line, r[4]))
                 for r in self._conn.execute(_QUERY, args)
             ]
 

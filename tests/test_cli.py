@@ -244,6 +244,25 @@ def test_edit_refuses_a_string_of_more_than_one_line(cli_with_sytherm, tmp_path)
     assert len(cli_with_sytherm("list").out.splitlines()) == 2
 
 
+def test_list_refuses_a_stored_operator_of_more_than_one_line(cli_with_sytherm, tmp_path):
+    """A store written before String values were one line may hold a line
+    break: list reads the value through the grammar and names the record
+    and the column on one line, rather than print the value split."""
+    import_annex(cli_with_sytherm)
+    record_id = import_annex(cli_with_sytherm)
+    conn = sqlite3.connect(tmp_path / "store.db")
+    with conn:
+        conn.execute("UPDATE t_val_values SET val_text = 'a\nb' WHERE msr_number = ?"
+                     " AND prm_number = (SELECT prm_number FROM t_prm_parameters"
+                     " WHERE prm_name = 'Operator')", (record_id,))
+    conn.close()
+    captured = cli_with_sytherm("list", expect=1)
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("ERROR StorageUnavailable: ")
+    assert f"measurement {record_id}: Operator val_text 'a\\nb' does not read back" in captured.err
+
+
 def test_gen_import_analyze_tau(cli_with_sytherm, tmp_path):
     gen_path = tmp_path / "synth.lvm"
     cli_with_sytherm("gen", "--tau", "15", "--y0", "100", "--yinf", "20",
