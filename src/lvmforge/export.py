@@ -8,16 +8,18 @@ Timestamps are ISO 8601, and identical records produce byte-identical
 output.
 
 Both formats are written in time linear in rows × channels.  The XML is
-written as text, in exactly the bytes that ``xml.etree.ElementTree`` gives
-for the same tree after ``ET.indent``.  The CSV series rows skip
-``csv.writer``: a ``%.6f`` number holds only digits, ``-`` and ``.``, and a
-row's x cell is never empty, so no cell of theirs needs quoting.
+text in exactly the bytes ``xml.etree.ElementTree`` gives after
+``ET.indent``; each distinct x column (as float64 bytes) is formatted once,
+and each series' points with one ``%``.  The CSV series rows skip
+``csv.writer`` (a ``%.6f`` number holds only digits, ``-`` and ``.``, and x
+is never empty, so no cell needs quoting); a shared-grid row is one ``%``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from array import array
 
 from .ingest import MeasurementRecord
 from .lvm import FIXED6
@@ -64,18 +66,19 @@ def export_xml(record: MeasurementRecord) -> bytes:
             text = render_canonical(typed)
             body.append(f"{tag}>{_escape_text(text)}</parameter>" if text else tag + " />")
         body.append(_INDENT + "</category>")
-    point = f'{_INDENT * 2}<point x="{FIXED6}" y="{FIXED6}" />'
+    point = f'\n{_INDENT * 2}<point x="%s" y="{FIXED6}" />'
+    x_texts: dict[bytes, list[str]] = {}
     for series in record.series:
         attrs = {"name": series.name}
         if series.unit is not None:
             attrs["unit"] = series.unit
+        key = array("d", series.x).tobytes()  # not ==, which takes -0.0 for 0.0
+        xs = x_texts[key] = x_texts.get(key) or list(map(FIXED6.__mod__, series.x))
+        xy = [None] * (2 * len(xs))
+        xy[::2], xy[1::2] = xs, series.y
+        points = (point * len(xs)) % tuple(xy)
         tag = _start_tag(1, "series", attrs)
-        if not series.x:
-            body.append(tag + " />")
-            continue
-        body.append(tag + ">")
-        body.extend([point % xy for xy in zip(series.x, series.y)])
-        body.append(_INDENT + "</series>")
+        body.append(f"{tag}>{points}\n{_INDENT}</series>" if xs else tag + " />")
     root = _start_tag(0, "measurement", {
         "equipment": record.equipment_name,
         "imported-at": record.imported_at.isoformat(),
@@ -90,9 +93,9 @@ def export_xml(record: MeasurementRecord) -> bytes:
 
 def export_csv(record: MeasurementRecord) -> bytes:
     """Two sections: metadata rows (category,parameter,type,unit,value) and,
-    after a blank line, the series block with an X_Value header row and one
-    6-decimal row per sample (see _series_columns).  Standard CSV quoting, LF
-    line endings."""
+    after a blank line, the series block: an X_Value header row, then one
+    6-decimal row per sample if every channel has the same x, otherwise the
+    rows of _series_columns.  Standard CSV quoting, LF line endings."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["category", "parameter", "type", "unit", "value"])
@@ -103,22 +106,23 @@ def export_csv(record: MeasurementRecord) -> bytes:
     if record.series:
         writer.writerow([])
         writer.writerow(["X_Value"] + [s.name for s in record.series])
-        buffer.writelines(row + "\n" for row in map(",".join, zip(*_series_columns(record))))
+        xs = record.series[0].x
+        if all(s.x == xs for s in record.series[1:]):
+            row = ",".join([FIXED6] * (1 + len(record.series))) + "\n"
+            buffer.writelines(map(row.__mod__, zip(xs, *(s.y for s in record.series))))
+        else:
+            buffer.writelines(row + "\n" for row in map(",".join, zip(*_series_columns(record))))
     return buffer.getvalue().encode("utf-8")
 
 
 def _series_columns(record: MeasurementRecord) -> list[list[str]]:
-    """The series block's cells column-wise, each number formatted once: the
-    x column, then one y column per channel.  When every channel has the same
-    abscissae, the y columns hold the points in order, so a repeated x keeps
-    each of its samples.  Otherwise a channel's k-th sample at x is keyed
-    (x, k), there is one row per key of any channel, in increasing (x, k)
-    order, and a channel's cell holds its sample with the row's key, or
-    nothing.  So every sample is written once, and the samples of a file
-    whose x never decreases keep their row order."""
-    xs = record.series[0].x
-    if all(s.x == xs for s in record.series[1:]):
-        return [[FIXED6 % x for x in xs]] + [[FIXED6 % y for y in s.y] for s in record.series]
+    """The series block of channels on different grids column-wise, each
+    number formatted once by ``%.6f``: the x column, then one y column per
+    channel.  A channel's k-th sample at x is keyed (x, k), there is one row
+    per key of any channel, in increasing (x, k) order, and a channel's cell
+    holds its sample with the row's key, or nothing.  So every sample is
+    written once, and the samples of a file whose x never decreases keep
+    their row order."""
     keyed = []
     for series in record.series:
         seen: dict[float, int] = {}

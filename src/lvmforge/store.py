@@ -16,7 +16,7 @@ The schema follows the t_<code>_<name> / <code>_number naming convention:
                                 in multi-row INSERTs of _BATCH rows that bind
                                 slices of the series' x and y interleaved; a
                                 series reads back as one key range of rows,
-                                transposed into its x and y columns
+                                transposed into x and y columns of floats only
 
 Values are stored in their canonical text form (see
 :func:`lvmforge.model.render_canonical`); put_measurement refuses a value
@@ -584,14 +584,20 @@ class Store:
                                  make_typed(definition, text))
             series = self._decoded(msr_number, "msr_series",
                                    lambda text: [(n, by_id[n]) for n in json.loads(text)], row[6])
-            # one primary-key range read per series (no sort), transposed
-            # by itemgetter in C: zip(*rows) is slower on long series
+            # one key-range read per series, transposed by itemgetter in C (zip(*rows)
+            # is slower); sum, in C too, refuses a text or BLOB sample (REAL keeps them)
             for prm_number, d in series:
                 rows = self._conn.execute(
                     "SELECT ser_x, ser_y FROM t_ser_series WHERE msr_number = ?"
                     " AND prm_number = ? ORDER BY ser_index", (msr_number, prm_number)).fetchall()
-                record.series.append(ChannelSeries(d.name, d.unit, tuple(map(_X, rows)),
-                                                   tuple(map(_Y, rows))))
+                x, y = tuple(map(_X, rows)), tuple(map(_Y, rows))
+                for column, values in (("ser_x", x), ("ser_y", y)):
+                    try:
+                        sum(values)
+                    except TypeError:
+                        raise StorageUnavailable(f"{self._path}: measurement {msr_number}: series"
+                                                 f" {d.name}: {column} is not all REAL") from None
+                record.series.append(ChannelSeries(d.name, d.unit, x, y))
         return record
 
     def query(self, equipment: Optional[str] = None, operator: Optional[str] = None,

@@ -391,6 +391,9 @@ def test_a_closed_stdout_pipe_exits_as_sigpipe_with_no_error_line(cli_with_sythe
 
 
 _ANNEX = ("import", str(ANNEX1_PATH), "--equipment", "SYTHERM")
+# every command that reads a record's samples
+_READS = [("show", "1"), ("export", "1", "--format", "csv", "--out", os.devnull),
+          ("export", "1", "--format", "xml", "--out", os.devnull), ("analyze", "tau", "1")]
 
 
 @pytest.mark.parametrize("damage, commands, error, named", [
@@ -407,6 +410,11 @@ _ANNEX = ("import", str(ANNEX1_PATH), "--equipment", "SYTHERM")
     ("UPDATE t_prm_parameters SET prm_category = 'Bogus' WHERE prm_name = 'Operator'",
      [("show", "1"), ("model", "show", "SYTHERM"), _ANNEX],
      "MalformedDefinition", "parameter 'Operator': unknown category 'Bogus'"),
+    # REAL affinity keeps text that does not look numeric, and any BLOB
+    ("UPDATE t_ser_series SET ser_y = 'abc' WHERE ser_index = 3", _READS,
+     "StorageUnavailable", "measurement 1: series Channel_0: ser_y is not all REAL"),
+    ("UPDATE t_ser_series SET ser_x = X'00' WHERE ser_index = 3", _READS,
+     "StorageUnavailable", "measurement 1: series Channel_0: ser_x is not all REAL"),
 ])
 def test_damaged_store_row_is_one_error_line(cli_with_sytherm, tmp_path, damage, commands,
                                              error, named):

@@ -1,12 +1,13 @@
 import csv
 import io
 import itertools
+import math
 import time
 import xml.etree.ElementTree as ET
 from datetime import date, datetime
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lvmforge import (
@@ -139,8 +140,23 @@ def test_exports_match_reference_on_annex1(annex_record):
     assert export_csv(annex_record) == reference_csv(annex_record)
 
 
+def _record(*columns):
+    """A record of one series per (x, y) pair of columns."""
+    record = MeasurementRecord(equipment_name="E", imported_at=datetime(2024, 1, 1),
+                               source_file="f")
+    record.series.extend(ChannelSeries(f"c{i}", None, x, y) for i, (x, y) in enumerate(columns))
+    return record
+
+
 @settings(max_examples=200, deadline=None)
 @given(records())
+# x columns equal under == whose zeros differ in sign, either way round: XML
+# prints each series' own x, so a shared x text must mean the same bytes
+@example(_record(([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]), ([-0.0, 1.0, 2.0], [4.0, 5.0, 6.0])))
+@example(_record(([1.0, -0.0], [1.0, 2.0]), ([1.0, 0.0], [3.0, 4.0])))
+# one grid of int x, and samples that are not finite or are -0.0
+@example(_record(([0, 1, 2, 3], [math.nan, math.inf, -math.inf, -0.0]),
+                 ([0, 1, 2, 3], [-0.0, math.nan, math.inf, -math.inf])))
 def test_exports_match_reference(record):
     assert export_xml(record) == reference_xml(record)
     assert export_csv(record) == reference_csv(record)
