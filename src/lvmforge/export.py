@@ -85,10 +85,12 @@ def export_xml(record: MeasurementRecord) -> bytes:
         "source-file": record.source_file,
     })
     if body:
-        lines = [_DECLARATION, root + ">", *body, "</measurement>"]
+        lines = [_DECLARATION, root + ">", *body, "</measurement>", ""]
     else:
-        lines = [_DECLARATION, root + " />"]
-    return ("\n".join(lines) + "\n").encode("utf-8", "xmlcharrefreplace")
+        lines = [_DECLARATION, root + " />", ""]
+    text = "\n".join(lines)
+    del body, lines  # the pieces go before the encoded copy is made
+    return text.encode("utf-8", "xmlcharrefreplace")
 
 
 def export_csv(record: MeasurementRecord) -> bytes:

@@ -13,8 +13,8 @@ The schema follows the t_<code>_<name> / <code>_number naming convention:
                                 read in prm_number (declaration) order
     t_ser_series                one (index, x, y) row per series point, clustered
                                 by (msr_number, prm_number, ser_index), written
-                                in multi-row INSERTs of _BATCH rows that bind
-                                slices of the series' x and y interleaved; a
+                                in multi-row INSERTs of _BATCH rows that bind a
+                                slice of the series' x, then of its y column; a
                                 series reads back as one key range of rows,
                                 transposed into x and y columns of floats only
 
@@ -56,6 +56,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date as Date
 from datetime import datetime
+from functools import partial
 from itertools import chain, count, repeat
 from operator import itemgetter
 from typing import Optional
@@ -66,6 +67,8 @@ from .errors import (
     DuplicateProcedure,
     ExtensionNotDeclared,
     ForeignKeyViolation,
+    InvariantViolation,
+    LvmforgeError,
     MalformedDefinition,
     NoBinding,
     NotFound,
@@ -152,14 +155,14 @@ CREATE TABLE {} (
 # Points go in as multi-row INSERTs of _BATCH rows, one row per point: the
 # cost of a put is mostly per statement step, not per B-tree row.  A
 # statement binds msr_number, prm_number and its first ser_index once, then
-# the x, y pairs flat.  A series' last len % _BATCH points take the one-row
-# statement, so only these two texts are ever compiled.  _BATCH stays small
-# because each connection (each CLI command) compiles the batch text again.
+# a slice of the x column and the same slice of the y column.  A series' last
+# len % _BATCH points take the one-row statement, so only these two texts are
+# ever compiled.  _BATCH stays small: each connection compiles it again.
 _BATCH = 32
 _SERIES_COLUMNS = "INSERT INTO t_ser_series (msr_number, prm_number, ser_index, ser_x, ser_y)"
 _INSERT_POINT = _SERIES_COLUMNS + " VALUES (?,?,?,?,?)"
 _INSERT_BATCH = _SERIES_COLUMNS + " VALUES " + ",".join(
-    f"(?1,?2,?3+{j},?{4 + 2 * j},?{5 + 2 * j})" for j in range(_BATCH))
+    f"(?1,?2,?3+{j},?{4 + j},?{4 + _BATCH + j})" for j in range(_BATCH))
 
 # the columns of a (ser_x, ser_y) row
 _X, _Y = itemgetter(0), itemgetter(1)
@@ -214,8 +217,8 @@ def _json_strings(text: str, shape: type):
 
 
 def _one_line(text: Optional[str]) -> Optional[str]:
-    """A stored String value, or None: ValueError unless it is one line of
-    UTF-8 text, as put writes one (older stores may hold line breaks)."""
+    """A stored String value or source file, or None: ValueError unless it
+    is one line of UTF-8 text, as put writes them (older stores may not)."""
     if text is not None and read_line(text) is None:
         raise ValueError(text)
     return text
@@ -406,7 +409,7 @@ class Store:
 
     def _parameter_ids(self, eqp_number: int) -> dict[str, tuple[int, ParameterDefinition]]:
         """name -> (prm_number, definition), read through the model's
-        vocabulary: MalformedDefinition names a row outside it."""
+        vocabulary and checks: MalformedDefinition names a row that fails them."""
         out = {}
         # sorted here, not in a temp B-tree: the (eqp_number, prm_name) index
         # gives name order, and declaration order is prm_number order
@@ -417,17 +420,17 @@ class Store:
             try:
                 out[name] = (number, read_parameter(name, category, value_type, unit, source,
                                                     domain[:-1] if enum else None))
-            except MalformedDefinition as exc:
+            except LvmforgeError as exc:
                 raise MalformedDefinition(f"{self._path}: parameter {name!r}: {exc}") from None
         return out
 
     def _decoded(self, msr_number: int, column: str, decode, stored, *args):
         """decode(stored, *args) for a column of measurement msr_number;
-        damaged text raises StorageUnavailable naming the store, the
-        measurement and the column.  Every encoded column is read here."""
+        damaged text raises StorageUnavailable naming the store, the measurement
+        and the column.  Every encoded column but ser_x and ser_y is read here."""
         try:
             return decode(stored, *args)
-        except (ValueError, TypeError, KeyError):
+        except (ValueError, TypeError, KeyError, TypeMismatch):
             raise StorageUnavailable(f"{self._path}: measurement {msr_number}:"
                                      f" {column} {stored!r} does not read back") from None
 
@@ -503,6 +506,8 @@ class Store:
 
     def put_measurement(self, record: MeasurementRecord) -> int:
         with self._transaction() as conn:
+            if "\n" in record.source_file or "\r" in record.source_file:
+                raise InvariantViolation(f"source file {record.source_file!r} is not one line")
             eqp = self._equipment_row(record.equipment_name)[0]
             params = self._parameter_ids(eqp)
 
@@ -545,12 +550,10 @@ class Store:
                 "INSERT INTO t_val_values (msr_number, prm_number, val_text) VALUES (?,?,?)",
                 [(msr, number, text) for number, text in values])
             for number, s in zip(series, record.series):
-                flat = [0.0] * (2 * len(s.x))
-                flat[::2], flat[1::2] = s.x, s.y
                 tail = len(s.x) - len(s.x) % _BATCH
                 # a generator: one chunk's parameters are built at a time
                 conn.executemany(_INSERT_BATCH, (
-                    (msr, number, start, *flat[2 * start:2 * (start + _BATCH)])
+                    (msr, number, start, *s.x[start:start + _BATCH], *s.y[start:start + _BATCH])
                     for start in range(0, tail, _BATCH)))
                 conn.executemany(_INSERT_POINT, zip(
                     repeat(msr), repeat(number), count(tail), s.x[tail:], s.y[tail:]))
@@ -570,7 +573,7 @@ class Store:
                 equipment_name=row[1],
                 imported_at=self._decoded(msr_number, "msr_imported_at",
                                           datetime.fromisoformat, row[2]),
-                source_file=row[3],
+                source_file=self._decoded(msr_number, "msr_sourcefile", _one_line, row[3]),
                 warnings=self._decoded(msr_number, "msr_warnings", _json_strings, row[4], list),
                 aux=self._decoded(msr_number, "msr_aux", _json_strings, row[5], dict),
                 record_id=msr_number,
@@ -578,10 +581,9 @@ class Store:
             for prm_number, text in self._conn.execute(
                     "SELECT prm_number, val_text FROM t_val_values"
                     " WHERE msr_number = ? ORDER BY prm_number", (msr_number,)):
-                definition = self._decoded(msr_number, "prm_number", by_id.__getitem__,
-                                           prm_number)
-                record.set_value(definition.category, definition.name,
-                                 make_typed(definition, text))
+                d = self._decoded(msr_number, "prm_number", by_id.__getitem__, prm_number)
+                record.set_value(d.category, d.name, self._decoded(
+                    msr_number, f"{d.name} val_text", partial(make_typed, d), text))
             series = self._decoded(msr_number, "msr_series",
                                    lambda text: [(n, by_id[n]) for n in json.loads(text)], row[6])
             # one key-range read per series, transposed by itemgetter in C (zip(*rows)
@@ -620,7 +622,7 @@ class Store:
                 RecordSummary(record_id=r[0], equipment_name=r[1],
                               imported_at=self._decoded(r[0], "msr_imported_at",
                                                         datetime.fromisoformat, r[2]),
-                              source_file=r[3],
+                              source_file=self._decoded(r[0], "msr_sourcefile", _one_line, r[3]),
                               operator=self._decoded(r[0], "Operator val_text", _one_line, r[4]))
                 for r in self._conn.execute(_QUERY, args)
             ]

@@ -415,6 +415,15 @@ _READS = [("show", "1"), ("export", "1", "--format", "csv", "--out", os.devnull)
      "StorageUnavailable", "measurement 1: series Channel_0: ser_y is not all REAL"),
     ("UPDATE t_ser_series SET ser_x = X'00' WHERE ser_index = 3", _READS,
      "StorageUnavailable", "measurement 1: series Channel_0: ser_x is not all REAL"),
+    # a value the grammar refuses fails every reader alike, as list fails on it
+    ("UPDATE t_val_values SET val_text = 'a\nb' WHERE prm_number ="
+     " (SELECT prm_number FROM t_prm_parameters WHERE prm_name = 'Operator')",
+     [*_READS, ("list",)], "StorageUnavailable", "measurement 1: Operator val_text"),
+    ("UPDATE t_prm_parameters SET prm_unit = 'Parsec' WHERE prm_name = 'Channel_0'",
+     [("show", "1"), ("model", "show", "SYTHERM"), _ANNEX],
+     "MalformedDefinition", "parameter 'Channel_0'"),
+    ("UPDATE t_msr_measurements SET msr_sourcefile = 'run\n1.lvm'", [("show", "1"), ("list",)],
+     "StorageUnavailable", "measurement 1: msr_sourcefile"),
 ])
 def test_damaged_store_row_is_one_error_line(cli_with_sytherm, tmp_path, damage, commands,
                                              error, named):
@@ -430,6 +439,21 @@ def test_damaged_store_row_is_one_error_line(cli_with_sytherm, tmp_path, damage,
         assert len(lines) == 1 and "Traceback" not in captured.out, argv
         assert lines[0].startswith(f"ERROR {error}: {store_path}: "), argv
         assert named in lines[0], argv
+
+
+def test_import_refuses_a_file_name_of_more_than_one_line(cli_with_sytherm, tmp_path):
+    """list and show print the source file on one line, so a name holding
+    a line break is refused before any row is written."""
+    import_annex(cli_with_sytherm)
+    shutil.copy(ANNEX1_PATH, tmp_path / "run\n1.lvm")
+    before = _table_counts(tmp_path / "store.db")
+    captured = cli_with_sytherm("import", str(tmp_path / "run\n1.lvm"), "--equipment",
+                                "SYTHERM", expect=1)
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, captured.err
+    assert lines[0].startswith("ERROR InvariantViolation: ")
+    assert _table_counts(tmp_path / "store.db") == before
+    assert len(cli_with_sytherm("list").out.splitlines()) == 1
 
 
 def test_non_utf8_argument_is_one_error_line(cli_with_sytherm, tmp_path):

@@ -411,10 +411,10 @@ def test_put_measurement_rejects_a_sample_that_is_not_a_finite_real(
 
 
 def test_put_measurement_rejects_a_point_that_is_not_a_pair(store):
-    """An x without its y would bind a batch's flat parameters shifted, so
-    a series whose columns differ in length is refused on construction.  A
-    sample that is a pair or None is refused by put with TypeMismatch, not
-    a raw TypeError, before it writes a row."""
+    """An x without its y would leave a batch's y slice shorter than its x
+    slice, so a series whose columns differ in length is refused on
+    construction.  A sample that is a pair or None is refused by put with
+    TypeMismatch, not a raw TypeError, before it writes a row."""
     model = builtin_sytherm(1)
     store.put_equipment(model)
     xs = [float(i) for i in range(_BATCH)]
