@@ -25,23 +25,17 @@ class MalformedNumber(LvmforgeError):
     Carries the 1-based line number and 1-based field position.
     """
 
-    def __init__(self, line: int, column: int, detail: str = ""):
+    def __init__(self, line: int, column: int, detail: str):
         self.line = line
         self.column = column
-        msg = f"line {line}, field {column}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"line {line}, field {column}: {detail}")
 
 
 class ChannelCountMismatch(LvmforgeError):
-    def __init__(self, expected: int, found: int, detail: str = ""):
+    def __init__(self, expected: int, found: int, detail: str):
         self.expected = expected
         self.found = found
-        msg = f"expected {expected}, found {found}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"expected {expected}, found {found} ({detail})")
 
 
 class UnsupportedFeature(LvmforgeError):
@@ -79,13 +73,10 @@ class InvalidChannelCount(LvmforgeError):
 
 
 class TypeMismatch(LvmforgeError):
-    def __init__(self, name: str, raw: str, detail: str = ""):
+    def __init__(self, name: str, raw: str, detail: str):
         self.name = name
         self.raw = raw
-        msg = f"parameter {name!r} rejects {raw!r}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"parameter {name!r} rejects {raw!r}: {detail}")
 
 
 class MalformedDefinition(LvmforgeError):

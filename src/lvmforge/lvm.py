@@ -213,8 +213,8 @@ def read_text(text: str) -> Optional[str]:
 
 
 def read_line(text: str) -> Optional[str]:
-    """read_text's text on one line: no "\\n" or "\\r"."""
-    return None if "\n" in text or "\r" in text else read_text(text)
+    """read_text's text in one field of one line: no "\\n", "\\r" or "\\t"."""
+    return None if "\n" in text or "\r" in text or "\t" in text else read_text(text)
 
 
 # printf-style spec of the fixed-6 rendering, for callers that write many

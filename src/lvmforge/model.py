@@ -121,6 +121,8 @@ class EquipmentModel:
         and parses back."""
         if not self.name.strip():
             raise EmptyName("equipment name must be non-empty")
+        if "\t" in self.name:  # lvmforge list prints the name in a tab-separated field
+            raise MalformedDefinition(f"name {self.name!r} holds a tab")
         texts = [(getattr(self, field), field) for field in
                  ("name", "producer", "description", "webpage", "picture", "visual_model")]
         for p in self.parameters:
@@ -218,7 +220,7 @@ _GRAMMARS = {
     ValueType.BOOLEAN: (read_bool, format_bool, "Yes/No/true/false"),
     ValueType.DATE: (read_date, format_date, "YYYY/MM/DD"),
     ValueType.TIME: (partial(read_time, ds=ANY_DECIMAL), HighPrecisionTime.render, "HH:MM:SS[.fff]"),
-    ValueType.STRING: (read_line, str, "one line of UTF-8 text"),
+    ValueType.STRING: (read_line, str, "one line of UTF-8 text without a tab"),
 }
 
 
@@ -228,8 +230,8 @@ def validate_value(definition: ParameterDefinition, raw: str) -> TypedScalar:
     Reals accept either "." or "," as decimal separator, booleans accept
     the .lvm Yes/No convention alongside true/false, dates are YYYY/MM/DD
     and times HH:MM:SS with an optional fractional part, strings one line
-    of UTF-8 text (no "\\n" or "\\r", no lone surrogate).  The grammars are
-    those of :mod:`lvmforge.lvm`.
+    of UTF-8 text without a tab (no "\\n", "\\r" or "\\t", no lone
+    surrogate).  The grammars are those of :mod:`lvmforge.lvm`.
     """
     if definition.value_type is ValueType.ENUMERATION:
         value = raw if raw in definition.enum_domain else None

@@ -20,16 +20,17 @@ The schema follows the t_<code>_<name> / <code>_number naming convention:
 
 Values are stored in their canonical text form (see
 :func:`lvmforge.model.render_canonical`); put_measurement refuses a value
-that validate_value does not read back from that text as the same value,
-so put followed by get reconstructs an equal record.  update_value sets a
-value in one UPSERT, whether the record has it or not.  query sends one
-statement whatever its filters, and every query or DML text here is a
-constant, so no statement is built at run time.  put_procedure,
-put_binding and resolve apply every dispatch rule over procedures and
-bindings.  This is schema version 2; init_schema migrates a version-1
-store (t_ser_series as a rowid table, no msr_series) on open.  Every
-SQLite failure, at open time or later, surfaces as a
-:class:`~lvmforge.errors.StorageError` (see _sqlite_errors).
+that validate_value does not read back from that text as the same value, so
+put followed by get reconstructs an equal record.  A record holds each
+parameter once, as a value or as a series: put_measurement and update_value
+refuse a second with DuplicateKey.  update_value sets a value in one UPSERT,
+whether the record has it or not.  query sends one statement whatever its
+filters, and every query or DML text here is a constant, so no statement is
+built at run time.  put_procedure, put_binding and resolve apply every
+dispatch rule over procedures and bindings.  This is schema version 2;
+init_schema migrates a version-1 store (t_ser_series as a rowid table, no
+msr_series) on open.  Every SQLite failure, at open time or later, surfaces
+as a :class:`~lvmforge.errors.StorageError` (see _sqlite_errors).
 
 Each Store call is one transaction: the connection is in autocommit mode
 and Store._transaction alone sends BEGIN, COMMIT and ROLLBACK.  A call
@@ -217,8 +218,8 @@ def _json_strings(text: str, shape: type):
 
 
 def _one_line(text: Optional[str]) -> Optional[str]:
-    """A stored String value or source file, or None: ValueError unless it
-    is one line of UTF-8 text, as put writes them (older stores may not)."""
+    """A stored String value or source file, or None: ValueError unless it is
+    one tab-free line of UTF-8 text, as put writes them (older stores may not)."""
     if text is not None and read_line(text) is None:
         raise ValueError(text)
     return text
@@ -381,11 +382,13 @@ class Store:
         with self._transaction("BEGIN"):
             row = self._equipment_row(name)
             params = tuple(d for _, d in self._parameter_ids(row[0]).values())
-        return EquipmentModel(
-            name=row[1], producer=row[2], description=row[3], webpage=row[4],
-            picture=row[5], visual_model=row[6],
-            extensions=frozenset(row[7].split()), parameters=params,
-            ignored_file_keys=frozenset(row[8].split()))
+        try:
+            return EquipmentModel(
+                name=row[1], producer=row[2], description=row[3], webpage=row[4],
+                picture=row[5], visual_model=row[6], extensions=frozenset(row[7].split()),
+                parameters=params, ignored_file_keys=frozenset(row[8].split()))
+        except LvmforgeError as exc:
+            raise MalformedDefinition(f"{self._path}: model {name!r}: {exc}") from None
 
     def list_equipment(self) -> list[str]:
         with _sqlite_errors(self._path):
@@ -506,8 +509,9 @@ class Store:
 
     def put_measurement(self, record: MeasurementRecord) -> int:
         with self._transaction() as conn:
-            if "\n" in record.source_file or "\r" in record.source_file:
-                raise InvariantViolation(f"source file {record.source_file!r} is not one line")
+            if any(c in record.source_file for c in "\t\n\r"):
+                raise InvariantViolation(
+                    f"source file {record.source_file!r} is not one line without a tab")
             eqp = self._equipment_row(record.equipment_name)[0]
             params = self._parameter_ids(eqp)
 
@@ -533,13 +537,13 @@ class Store:
                                   unit=typed.unit), _stored_text(params[name][1], typed))
                       for category, per_category in record.values.items()
                       for name, typed in per_category.items()]
-            series: list[int] = []
+            series = [prm_number(s.name, unit=s.unit) for s in record.series]
+            held = [*chain.from_iterable(record.values.values()), *(s.name for s in record.series)]
+            if len(set(held)) != len(held):  # each parameter as one value or one series
+                twice = next(name for name in held if held.count(name) > 1)
+                raise DuplicateKey(f"{record.equipment_name}: {twice!r} is held twice")
             for s in record.series:
-                number = prm_number(s.name, unit=s.unit)
-                if number in series:
-                    raise DuplicateKey(f"{record.equipment_name}: two series {s.name!r}")
                 _require_finite(s)
-                series.append(number)
             msr = conn.execute(
                 "INSERT INTO t_msr_measurements (eqp_number, msr_imported_at,"
                 " msr_sourcefile, msr_warnings, msr_aux, msr_series) VALUES (?,?,?,?,?,?)",
@@ -640,12 +644,12 @@ class Store:
         """Set one parameter value to the canonical rendering of ``raw`` in
         one UPSERT, which adds a value the record lacks.
 
-        The new text must pass the parameter's declared value grammar;
-        on TypeMismatch the stored value is unchanged.
+        TypeMismatch unless the text passes the parameter's grammar, and
+        DuplicateKey if the record holds the parameter as a series; no row changes.
         """
         with self._transaction() as conn:
             row = conn.execute(
-                "SELECT eqp_number FROM t_msr_measurements WHERE msr_number = ?",
+                "SELECT eqp_number, msr_series FROM t_msr_measurements WHERE msr_number = ?",
                 (msr_number,)).fetchone()
             if row is None:
                 raise NotFound(f"measurement {msr_number}")
@@ -653,6 +657,9 @@ class Store:
             if parameter not in params:
                 raise UnknownParameter(parameter)
             prm_number, definition = params[parameter]
+            if self._decoded(msr_number, "msr_series",
+                             lambda text: prm_number in json.loads(text), row[1]):
+                raise DuplicateKey(f"measurement {msr_number}: {parameter!r} is held as a series")
             text = render_canonical(make_typed(definition, raw))
             conn.execute(
                 "INSERT INTO t_val_values (msr_number, prm_number, val_text) VALUES (?,?,?)"

@@ -174,6 +174,17 @@ def test_model_add_list_show(cli, tmp_path):
     assert err.startswith("ERROR UnknownEquipment")
 
 
+def test_model_add_refuses_a_name_holding_a_tab(cli, tmp_path):
+    # list prints the model's name in one tab-separated field
+    cli("init")
+    definition = tmp_path / "tab.model"
+    definition.write_text(render_model_definition(builtin_sytherm(2)).replace(
+        "name: SYTHERM", "name: A\tB"))
+    assert cli("model", "add", str(definition), expect=1).err.startswith(
+        "ERROR MalformedDefinition: ")
+    assert cli("model", "list").out == ""
+
+
 def _table_counts(path):
     conn = sqlite3.connect(path)
     tables = [r[0] for r in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")]
@@ -230,18 +241,62 @@ def test_edit_refuses_a_time_off_the_clock(cli_with_sytherm):
 
 def test_edit_refuses_a_string_of_more_than_one_line(cli_with_sytherm, tmp_path):
     """Output is line oriented: a String value holds no line break, so
-    list prints one line per record."""
+    list prints one line per record, and no tab, so each field is one."""
     import_annex(cli_with_sytherm)
     record_id = import_annex(cli_with_sytherm)
     before = _table_counts(tmp_path / "store.db")
-    for text in ("a\nb", "a\rb", "a\r\n"):
+    for text in ("a\nb", "a\rb", "a\r\n", "a\tb"):
         captured = cli_with_sytherm("edit", record_id, "Operator", text, expect=1)
         assert (captured.out, captured.err.splitlines()) == ("", [
             f"ERROR TypeMismatch: parameter 'Operator' rejects {text!r}:"
-            " expected one line of UTF-8 text"]), text
+            " expected one line of UTF-8 text without a tab"]), text
         assert _table_counts(tmp_path / "store.db") == before, text
     assert "Operator = Profesor" in cli_with_sytherm("show", record_id).out
     assert len(cli_with_sytherm("list").out.splitlines()) == 2
+
+
+def test_edit_refuses_a_parameter_the_record_holds_as_a_series(cli_with_sytherm, tmp_path):
+    """A record holds each parameter once: a channel's series is not also a
+    value, so show and both exports name the channel once."""
+    record_id = import_annex(cli_with_sytherm)
+    before = _table_counts(tmp_path / "store.db")
+    captured = cli_with_sytherm("edit", record_id, "Channel_0", "5", expect=1)
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, captured.err
+    assert lines[0].startswith("ERROR DuplicateKey: ") and "'Channel_0'" in lines[0]
+    assert _table_counts(tmp_path / "store.db") == before
+    assert cli_with_sytherm("show", record_id).out.count("Channel_0") == 1
+
+
+def _import_annex_copy(cli, tmp_path, old, new):
+    """Import a copy of Annex-1 with one header line replaced, expecting it
+    to fail; returns the one error line after checking that no row changed."""
+    text = ANNEX1_PATH.read_bytes().decode()
+    assert text.count(old) == 1
+    (tmp_path / "copy.lvm").write_bytes(text.replace(old, new).encode())
+    before = _table_counts(tmp_path / "store.db")
+    captured = cli("import", str(tmp_path / "copy.lvm"), "--equipment", "SYTHERM", expect=1)
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, captured.err
+    assert _table_counts(tmp_path / "store.db") == before
+    return lines[0]
+
+
+def test_import_refuses_a_header_key_that_names_a_channel(cli_with_sytherm, tmp_path):
+    # the header value and the data column would both be Channel_0
+    import_annex(cli_with_sytherm)
+    line = _import_annex_copy(cli_with_sytherm, tmp_path, "Channels\t3",
+                              "Channels\t3\nChannel_0\t5,5")
+    assert line.startswith("ERROR DuplicateKey: ") and "'Channel_0'" in line
+
+
+def test_import_refuses_an_operator_holding_a_tab(cli_with_sytherm, tmp_path):
+    # the tab would make the Operator two fields of a list line
+    import_annex(cli_with_sytherm)
+    line = _import_annex_copy(cli_with_sytherm, tmp_path, "Operator\tProfesor",
+                              "Operator\tJohn\tDoe")
+    assert line.startswith("ERROR TypeMismatch: parameter 'Operator' rejects 'John\\tDoe'")
+    assert all(len(row.split("\t")) == 5 for row in cli_with_sytherm("list").out.splitlines())
 
 
 def test_list_refuses_a_stored_operator_of_more_than_one_line(cli_with_sytherm, tmp_path):
@@ -424,6 +479,12 @@ _READS = [("show", "1"), ("export", "1", "--format", "csv", "--out", os.devnull)
      "MalformedDefinition", "parameter 'Channel_0'"),
     ("UPDATE t_msr_measurements SET msr_sourcefile = 'run\n1.lvm'", [("show", "1"), ("list",)],
      "StorageUnavailable", "measurement 1: msr_sourcefile"),
+    # a tab, which a store from before the String grammar refused it may hold
+    ("UPDATE t_val_values SET val_text = 'a\tb' WHERE prm_number ="
+     " (SELECT prm_number FROM t_prm_parameters WHERE prm_name = 'Operator')",
+     [("list",), ("show", "1")], "StorageUnavailable", "measurement 1: Operator val_text"),
+    ("UPDATE t_eqp_equipments SET eqp_producer = ' MagLab '",
+     [("model", "show", "SYTHERM"), _ANNEX], "MalformedDefinition", "model 'SYTHERM': producer"),
 ])
 def test_damaged_store_row_is_one_error_line(cli_with_sytherm, tmp_path, damage, commands,
                                              error, named):
@@ -442,18 +503,20 @@ def test_damaged_store_row_is_one_error_line(cli_with_sytherm, tmp_path, damage,
 
 
 def test_import_refuses_a_file_name_of_more_than_one_line(cli_with_sytherm, tmp_path):
-    """list and show print the source file on one line, so a name holding
-    a line break is refused before any row is written."""
+    """list and show print the source file on one line, and list in one
+    tab-separated field, so a name holding a line break or a tab is refused
+    before any row is written."""
     import_annex(cli_with_sytherm)
-    shutil.copy(ANNEX1_PATH, tmp_path / "run\n1.lvm")
-    before = _table_counts(tmp_path / "store.db")
-    captured = cli_with_sytherm("import", str(tmp_path / "run\n1.lvm"), "--equipment",
-                                "SYTHERM", expect=1)
-    lines = captured.err.splitlines()
-    assert captured.out == "" and len(lines) == 1, captured.err
-    assert lines[0].startswith("ERROR InvariantViolation: ")
-    assert _table_counts(tmp_path / "store.db") == before
-    assert len(cli_with_sytherm("list").out.splitlines()) == 1
+    for name in ("run\n1.lvm", "run\t1.lvm"):
+        shutil.copy(ANNEX1_PATH, tmp_path / name)
+        before = _table_counts(tmp_path / "store.db")
+        captured = cli_with_sytherm("import", str(tmp_path / name), "--equipment",
+                                    "SYTHERM", expect=1)
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, captured.err
+        assert lines[0].startswith("ERROR InvariantViolation: ")
+        assert _table_counts(tmp_path / "store.db") == before
+        assert len(cli_with_sytherm("list").out.splitlines()) == 1
 
 
 def test_non_utf8_argument_is_one_error_line(cli_with_sytherm, tmp_path):

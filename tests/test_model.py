@@ -216,10 +216,12 @@ def test_validate_value_rejects(vtype, raw):
 @example("\ud83d\ude00")  # a surrogate pair is two lone surrogates in a str
 @example("a\nb")
 @example("a\rb")
+@example("a\tb")  # one field of a tab-separated line
 @example("a\u2028b")  # a line break to str.splitlines, but not to a file's lines
 def test_validate_string_accepts_exactly_utf8_text(text):
     # sqlite and the exporters cannot encode a lone surrogate, and a line
-    # break would split a line of the CLI's output or of a .lvm header
+    # break would split a line of the CLI's output or of a .lvm header, and a
+    # tab a field of a list line
     definition = ParameterDefinition("Operator", ConceptCategory.MEASUREMENT_INFORMATION,
                                      ValueType.STRING)
     try:
@@ -227,7 +229,7 @@ def test_validate_string_accepts_exactly_utf8_text(text):
     except UnicodeEncodeError:
         one_line = False
     else:
-        one_line = "\n" not in text and "\r" not in text
+        one_line = not set(text) & set("\t\n\r")
     if one_line:
         assert validate_value(definition, text) == text
     else:
@@ -268,7 +270,7 @@ _SCALARS = st.one_of(
                         st.integers(0, 23), st.integers(0, 59), st.integers(0, 59),
                         st.text("0123456789", max_size=22))),
     st.tuples(st.just(ValueType.STRING),
-              st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\r"),
+              st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"),
                       max_size=20)),
 )
 

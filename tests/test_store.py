@@ -15,7 +15,7 @@ import time
 from datetime import date, datetime
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lvmforge import (
@@ -55,6 +55,7 @@ from lvmforge.errors import (
 )
 from lvmforge.ingest import LVM_HANDLER_ID
 from lvmforge.lvm import read_text
+from lvmforge.model import make_typed
 from lvmforge.store import _BATCH, _QUERY, Store
 
 from conftest import ANNEX1_PATH, equipment_models
@@ -927,6 +928,31 @@ def test_put_get_identity_for_hand_built_records(built, data):
             with pytest.raises(DuplicateKey):
                 store.put_measurement(twice)
             assert {t: count(store, t) for t in EXPECTED_TABLES} == before
+
+
+# a text each value type reads; an enumeration reads its first value
+_RAW = {ValueType.INTEGER: "3", ValueType.REAL: "5,5", ValueType.BOOLEAN: "Yes",
+        ValueType.TIME: "10:00:00", ValueType.DATE: "2013/02/06", ValueType.STRING: "a"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(built=_hand_built_records(), data=st.data())
+def test_put_refuses_a_parameter_held_as_a_value_and_a_series(built, data):
+    """A record holds each parameter once: one held both as a value and as a
+    series is refused, naming it, before any row is written."""
+    model, record = built
+    assume(record.series)
+    name = data.draw(st.sampled_from([s.name for s in record.series]), label="held twice")
+    definition = model.parameter(name)
+    raw = definition.enum_domain[0] if definition.enum_domain else _RAW[definition.value_type]
+    with init_schema(":memory:") as store:
+        store.put_equipment(model)
+        store.put_measurement(record)
+        before = {t: count(store, t) for t in EXPECTED_TABLES}
+        record.set_value(definition.category, name, make_typed(definition, raw))
+        with pytest.raises(DuplicateKey, match=re.escape(f"{name!r} is held twice")):
+            store.put_measurement(record)
+        assert {t: count(store, t) for t in EXPECTED_TABLES} == before
 
 
 def test_series_reads_and_delete_sort_nothing(store, sytherm3, annex_record):
